@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -166,5 +167,50 @@ func TestWriteDOTEmptyName(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "digraph \"taskgraph\"") {
 		t.Errorf("DOT default name missing:\n%s", b.String())
+	}
+}
+
+// TestTextRoundTripSpaceNames pins that WriteText output reads back when
+// task and graph names hold any rune the reader splits on: every
+// unicode.IsSpace rune, and '#', is written as '_'. A name that is one
+// such rune becomes the "_" placeholder and reads back unnamed.
+func TestTextRoundTripSpaceNames(t *testing.T) {
+	for _, sep := range []string{" ", "\t", "\n", "\r", "\v", "\f", "#", "\u0085", "\u00a0", "\u2000", "\u2028", "\u3000"} {
+		g := New("g" + sep + "name")
+		g.AddNamedTask("a"+sep+"b", 1)
+		g.AddNamedTask(sep, 2)
+		g.AddEdge(0, 1, 3)
+		g2, err := ParseText(g.TextString())
+		if err != nil {
+			t.Fatalf("name with %q: WriteText output does not read back: %v\n%s", sep, err, g.TextString())
+		}
+		if g2.Name != "g_name" || g2.Task(0).Name != "a_b" || g2.Task(1).Name != "t1" {
+			t.Errorf("name with %q: read back graph %q, tasks %q and %q", sep, g2.Name, g2.Task(0).Name, g2.Task(1).Name)
+		}
+	}
+}
+
+// TestNextFieldMatchesFields pins the readers' splitter to strings.Fields
+// with every kind of byte at every offset of a long field, where the
+// eight-byte skip and the byte loop hand over.
+func TestNextFieldMatchesFields(t *testing.T) {
+	specials := []string{" ", "\t", "\n", "\v", "\f", "\r", "\x00", "\x1f", "!", "\x7f", "\x80", "\xff",
+		"\u0085", "\u00a0", "\u2000", "\u3000", "\u00e9", "\xe2\x80", "  ", " \u00a0\t"}
+	for _, sp := range specials {
+		for off := 0; off <= 20; off++ {
+			for _, src := range []string{
+				strings.Repeat("a", off) + sp + strings.Repeat("b", 20-off),
+				sp + strings.Repeat("c", off) + sp + sp + "d" + sp,
+				strings.Repeat("e", off) + sp + "1.2345678901234567" + sp + strings.Repeat("f", 9),
+			} {
+				var got []string
+				for tok, rest := nextField([]byte(src)); len(tok) > 0; tok, rest = nextField(rest) {
+					got = append(got, string(tok))
+				}
+				if want := strings.Fields(src); !slices.Equal(got, want) {
+					t.Fatalf("nextField splits %q into %q, strings.Fields into %q", src, got, want)
+				}
+			}
+		}
 	}
 }

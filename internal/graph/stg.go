@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -44,15 +45,16 @@ func ReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
 	lim = lim.Normalized()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	readLine := func() ([]string, bool) {
+	// readLine returns the next line that holds a field, its comment cut.
+	// The line aliases the scanner's buffer until the next call.
+	readLine := func() ([]byte, bool) {
 		for sc.Scan() {
-			line := sc.Text()
-			if i := strings.IndexByte(line, '#'); i >= 0 {
+			line := sc.Bytes()
+			if i := bytes.IndexByte(line, '#'); i >= 0 {
 				line = line[:i]
 			}
-			fields := strings.Fields(line)
-			if len(fields) > 0 {
-				return fields, true
+			if tok, _ := nextField(line); len(tok) > 0 {
+				return line, true
 			}
 		}
 		return nil, false
@@ -62,12 +64,13 @@ func ReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
 	if !ok {
 		return nil, fmt.Errorf("graph stg: empty input")
 	}
-	if len(head) != 1 {
-		return nil, fmt.Errorf("graph stg: first line must be the task count, got %q", strings.Join(head, " "))
+	countTok, after := nextField(head)
+	if countFields(after) != 0 {
+		return nil, fmt.Errorf("graph stg: first line must be the task count, got %q", strings.Join(strings.Fields(string(head)), " "))
 	}
-	n, err := strconv.Atoi(head[0])
+	n, err := strconv.Atoi(string(countTok))
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("graph stg: bad task count %q", head[0])
+		return nil, fmt.Errorf("graph stg: bad task count %q", countTok)
 	}
 	// A declared count far beyond any real benchmark is a corrupt or
 	// hostile header; refuse it before allocating task storage for it.
@@ -88,56 +91,57 @@ func ReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
 	// but without naming the task. seenPred is reused across task lines.
 	seenPred := make(map[int]struct{})
 	for i := 0; i < n; i++ {
-		fields, ok := readLine()
+		line, ok := readLine()
 		if !ok {
 			return nil, fmt.Errorf("graph stg: expected %d task lines, got %d", n, i)
 		}
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("graph stg: task line %d too short: %q", i, strings.Join(fields, " "))
+		// Fields are taken one at a time; the line's predecessor tokens
+		// are counted before they are parsed.
+		idTok, rest := nextField(line)
+		compTok, rest := nextField(rest)
+		npredTok, rest := nextField(rest)
+		if len(npredTok) == 0 {
+			return nil, fmt.Errorf("graph stg: task line %d too short: %q", i, strings.Join(strings.Fields(string(line)), " "))
 		}
-		id, err := strconv.Atoi(fields[0])
+		id, err := strconv.Atoi(string(idTok))
 		if err != nil || id != i {
-			return nil, fmt.Errorf("graph stg: task ids must be dense from 0; line %d has id %q", i, fields[0])
+			return nil, fmt.Errorf("graph stg: task ids must be dense from 0; line %d has id %q", i, idTok)
 		}
-		comp, err := strconv.ParseFloat(fields[1], 64)
+		comp, err := strconv.ParseFloat(string(compTok), 64)
 		if err != nil {
-			return nil, fmt.Errorf("graph stg: bad processing time %q on task %d", fields[1], id)
+			return nil, fmt.Errorf("graph stg: bad processing time %q on task %d", compTok, id)
 		}
 		if err := checkWeight(comp); err != nil {
 			return nil, fmt.Errorf("graph stg: task %d: %w", id, err)
 		}
 		g.SetComp(id, comp)
-		npred, err := strconv.Atoi(fields[2])
+		npred, err := strconv.Atoi(string(npredTok))
 		if err != nil || npred < 0 {
-			return nil, fmt.Errorf("graph stg: bad predecessor count %q on task %d", fields[2], id)
+			return nil, fmt.Errorf("graph stg: bad predecessor count %q on task %d", npredTok, id)
 		}
-		rest := fields[3:]
+		ntok := countFields(rest)
 		if npred > 0 && weighted == -1 {
-			switch len(rest) {
+			switch ntok {
 			case npred:
 				weighted = 0
 			case 2 * npred:
 				weighted = 1
 			default:
-				return nil, fmt.Errorf("graph stg: task %d has %d predecessor tokens for %d predecessors", id, len(rest), npred)
+				return nil, fmt.Errorf("graph stg: task %d has %d predecessor tokens for %d predecessors", id, ntok, npred)
 			}
 		}
 		want := npred
 		if weighted == 1 {
 			want = 2 * npred
 		}
-		if len(rest) != want {
-			return nil, fmt.Errorf("graph stg: task %d has %d predecessor tokens, want %d", id, len(rest), want)
+		if ntok != want {
+			return nil, fmt.Errorf("graph stg: task %d has %d predecessor tokens, want %d", id, ntok, want)
 		}
 		clear(seenPred)
 		for j := 0; j < npred; j++ {
-			var predTok, commTok string
-			if weighted == 1 {
-				predTok, commTok = rest[2*j], rest[2*j+1]
-			} else {
-				predTok, commTok = rest[j], "0"
-			}
-			pred, err := strconv.Atoi(predTok)
+			var predTok []byte
+			predTok, rest = nextField(rest)
+			pred, err := strconv.Atoi(string(predTok))
 			if err != nil || pred < 0 || pred >= n {
 				return nil, fmt.Errorf("graph stg: task %d has bad predecessor %q", id, predTok)
 			}
@@ -145,9 +149,13 @@ func ReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
 				return nil, fmt.Errorf("graph stg: task %d lists predecessor %d twice", id, pred)
 			}
 			seenPred[pred] = struct{}{}
-			comm, err := strconv.ParseFloat(commTok, 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph stg: task %d has bad comm %q", id, commTok)
+			comm := 0.0 // the classic form carries no communication costs
+			if weighted == 1 {
+				var commTok []byte
+				commTok, rest = nextField(rest)
+				if comm, err = strconv.ParseFloat(string(commTok), 64); err != nil {
+					return nil, fmt.Errorf("graph stg: task %d has bad comm %q", id, commTok)
+				}
 			}
 			if err := checkWeight(comm); err != nil {
 				return nil, fmt.Errorf("graph stg: edge %s->%d: %w", predTok, id, err)
