@@ -45,8 +45,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSTG$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTextOracle$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSTGOracle$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDecimal$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzHeap$$' -fuzztime 10s ./internal/pq
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/memo
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleHandler$$' -fuzztime 10s ./internal/svc
 
 # Schedule-cache latency sweep (cold vs warm vs near-hit, mixed streams).
 cache:

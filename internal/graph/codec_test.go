@@ -58,6 +58,27 @@ func TestWriteTextMatchesFmt(t *testing.T) {
 	}
 }
 
+// TestCanonicalCoverage pins that the fast path covers WriteText: no
+// task or edge line of a workload graph, in any family, under either
+// sampler and at CCR 0.1, 1 and 10, is left to the general decoder.
+// Small weights such as 0.00018989106673779932, whose leading fraction
+// zeros are not significant, are the case this guards.
+func TestCanonicalCoverage(t *testing.T) {
+	for _, fam := range workload.Families() {
+		for _, s := range []workload.Sampler{workload.Uniform02{}, workload.Exponential{}} {
+			for _, ccr := range []float64{0.1, 1, 10} {
+				g, err := workload.Instance(fam.Name, 300, ccr, s, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if misses := graph.CanonicalMisses(g.TextString()); len(misses) > 0 {
+					t.Errorf("%s (%s): %d lines left the fast path, first %q", g.Name, s.Name(), len(misses), misses[0])
+				}
+			}
+		}
+	}
+}
+
 // TestReadTextAllocs pins that reading a line allocates nothing: a
 // payload four times larger may cost only the extra growth steps of the
 // task, edge and line-index slices. Past a few hundred elements append

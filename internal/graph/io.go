@@ -182,8 +182,10 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	for sc.Scan() {
 		p.lineNo++
-		if err := p.readLine(sc.Bytes()); err != nil {
-			return nil, p.firstError(p.graph(), err)
+		if line := sc.Bytes(); !p.readCanonical(line) {
+			if err := p.readLine(line); err != nil {
+				return nil, p.firstError(p.graph(), err)
+			}
 		}
 	}
 	g := p.graph()
@@ -199,11 +201,12 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 }
 
 // textReader is the state of one ReadTextLimits call. It reads a line
-// without allocating: fields alias the scanner's buffer and numbers are
-// parsed from non-escaping string conversions of them. Only names are
-// copied out. Tasks and edges are appended to the reader's own slices
-// and handed to the graph once, which spares the per-element
-// invalidation of AddTask and AddEdge.
+// without allocating: readCanonical decodes the lines WriteText writes
+// in one pass, and readLine splits every other line into fields that
+// alias the scanner's buffer and parses numbers from non-escaping string
+// conversions of them. Only names are copied out. Tasks and edges are
+// appended to the reader's own slices and handed to the graph once,
+// which spares the per-element invalidation of AddTask and AddEdge.
 //
 // Duplicate edges are not looked up per edge. Validate finds them after
 // the last line through the CSR predecessor windows, and firstError
@@ -258,6 +261,92 @@ func (p *textReader) firstError(g *Graph, err error) error {
 	return err
 }
 
+// readCanonical decodes line if it is a task or edge line exactly as
+// WriteText writes it and it passes every check readLine would make, and
+// reports whether it did:
+//
+//	task <id> <comp> [name]
+//	edge <from> <to> <comm>
+//
+// with single spaces, ids of decimal digits, weights parseDecimal
+// converts and that are not negative (-0 included), and a name of ASCII
+// bytes that are neither spaces nor '#'. Every other line, and every
+// line a check would reject, is left to readLine, which stays the only
+// source of errors; what readCanonical accepts, readLine would have read
+// into the same task or edge.
+func (p *textReader) readCanonical(line []byte) bool {
+	if len(line) < 5 {
+		return false
+	}
+	switch string(line[:5]) {
+	case "task ":
+		id, i, ok := canonicalID(line, 5)
+		if !ok || id != len(p.tasks) || p.lim.checkTasks(id+1) != nil {
+			return false
+		}
+		comp, n, ok := parseDecimal(line[i:])
+		if i += n; !ok || math.Signbit(comp) {
+			return false
+		}
+		var name []byte
+		if i < len(line) {
+			if name = line[i+1:]; line[i] != ' ' || len(name) == 0 {
+				return false
+			}
+			for _, c := range name {
+				if c <= ' ' || c >= utf8.RuneSelf || c == '#' {
+					return false
+				}
+			}
+		}
+		p.addTask(comp, name)
+	case "edge ":
+		from, i, ok := canonicalID(line, 5)
+		if !ok {
+			return false
+		}
+		to, i, ok := canonicalID(line, i)
+		if !ok || from >= len(p.tasks) || to >= len(p.tasks) || p.lim.checkEdges(len(p.edges)+1) != nil {
+			return false
+		}
+		comm, n, ok := parseDecimal(line[i:])
+		if !ok || i+n != len(line) || math.Signbit(comm) {
+			return false
+		}
+		p.addEdge(from, to, comm)
+	default:
+		return false
+	}
+	return true
+}
+
+// canonicalID reads the id at line[i:], 1 to 18 decimal digits followed
+// by a space, and returns it with the index after the space.
+func canonicalID(line []byte, i int) (id, next int, ok bool) {
+	v, j := digits(line, i, 0)
+	if j == i || j-i > 18 || j == len(line) || line[j] != ' ' {
+		return 0, 0, false
+	}
+	return int(v), j + 1, true
+}
+
+// addTask appends the next task. The name "_" stands for none.
+func (p *textReader) addTask(comp float64, name []byte) {
+	t := Task{ID: len(p.tasks), Comp: comp}
+	if len(name) > 0 && string(name) != "_" {
+		t.Name = string(name)
+	}
+	p.tasks = append(p.tasks, t)
+}
+
+// addEdge appends an edge declared on the current line.
+func (p *textReader) addEdge(from, to int, comm float64) {
+	if k := len(p.runs) - 1; k < 0 || p.runs[k].line+len(p.edges)-p.runs[k].edge != p.lineNo {
+		p.runs = append(p.runs, lineRun{edge: len(p.edges), line: p.lineNo})
+	}
+	p.edges = append(p.edges, Edge{From: from, To: to, Comm: comm})
+}
+
 // readLine parses one line of the text format.
 func (p *textReader) readLine(line []byte) error {
 	if i := bytes.IndexByte(line, '#'); i >= 0 {
@@ -306,11 +395,7 @@ func (p *textReader) readLine(line []byte) error {
 		if err := p.lim.checkTasks(len(p.tasks) + 1); err != nil {
 			return p.errorf("%w", err)
 		}
-		t := Task{ID: id, Comp: comp}
-		if n == 4 && string(f[3]) != "_" {
-			t.Name = string(f[3])
-		}
-		p.tasks = append(p.tasks, t)
+		p.addTask(comp, f[3])
 	case "edge":
 		if n != 4 {
 			return p.errorf("want 'edge <from> <to> <comm>', got %q", line)
@@ -342,10 +427,7 @@ func (p *textReader) readLine(line []byte) error {
 			}
 			return p.errorf("%w", err)
 		}
-		if k := len(p.runs) - 1; k < 0 || p.runs[k].line+len(p.edges)-p.runs[k].edge != p.lineNo {
-			p.runs = append(p.runs, lineRun{edge: len(p.edges), line: p.lineNo})
-		}
-		p.edges = append(p.edges, Edge{From: from, To: to, Comm: comm})
+		p.addEdge(from, to, comm)
 	default:
 		return p.errorf("unknown directive %q", f[0])
 	}

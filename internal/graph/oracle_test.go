@@ -342,6 +342,10 @@ func FuzzReadTextOracle(f *testing.F) {
 	f.Add("task 0 1\ntask 1 1\nedge 0 1 1\nedge 0 1 1\ntask 2 1\n", 2, 0)
 	f.Add(textGraph(9), 8, 4)
 	f.Add(textGraph(6), -1, -1)
+	// Inputs that leave the canonical fast path on their last line.
+	for _, c := range offCanonical {
+		f.Add(c.src, c.maxTasks, c.maxEdges)
+	}
 	f.Fuzz(func(t *testing.T, src string, maxTasks, maxEdges int) {
 		lim := oracleLimits(maxTasks, maxEdges, false)
 		want, wantErr := oracleReadTextLimits(strings.NewReader(src), lim)

@@ -146,16 +146,16 @@ func (e *Engine) Each(n int, fn func(w *Worker, i int) error) error {
 	return e.EachCtx(context.Background(), n, fn)
 }
 
-// EachCtx is Each under a context: once ctx is done, no further job is
-// dispatched — jobs already running (or already pulled by a worker) are
-// never interrupted, so fn keeps the batch invariants, but every job
-// that was still waiting for dispatch fails with ctx.Err() recorded at
-// its own index. The lowest-failing-index error contract therefore
-// holds under cancellation too: if every dispatched job succeeded, the
-// returned error is ctx.Err() (the first undispatched index is the
-// lowest failure); if an earlier job failed on its own, that error wins
-// exactly as in the serial loop. fn that wants cancellation inside a
-// job must watch ctx itself.
+// EachCtx is Each under a context: once ctx is done, no further job
+// starts — jobs already running are never interrupted, so fn keeps the
+// batch invariants, but every job that had not started fails with
+// ctx.Err() recorded at its own index, whether it was still waiting for
+// dispatch or already sitting in the queue. The lowest-failing-index
+// error contract therefore holds under cancellation too: if every
+// started job succeeded, the returned error is ctx.Err() (the first job
+// not started is the lowest failure); if an earlier job failed on its
+// own, that error wins exactly as in the serial loop. fn that wants
+// cancellation inside a job must watch ctx itself.
 func (e *Engine) EachCtx(ctx context.Context, n int, fn func(w *Worker, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -187,7 +187,7 @@ func (e *Engine) EachCtx(ctx context.Context, n int, fn func(w *Worker, i int) e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.work(w, jobs, fn, &be)
+			e.work(ctx, w, jobs, fn, &be)
 		}()
 	}
 feed:
@@ -196,9 +196,8 @@ feed:
 		case jobs <- i:
 		case <-done:
 			// Everything not yet handed to the queue fails here, at its
-			// own index, with the context's error. Jobs sitting in the
-			// queue buffer still run to completion: they were admitted,
-			// and interrupting fn mid-flight is not part of the contract.
+			// own index, with the context's error; work fails the jobs
+			// already in the queue the same way.
 			err := ctx.Err()
 			for ; i < n; i++ {
 				be.record(i, err)
@@ -214,11 +213,19 @@ feed:
 
 // work is one worker's job loop: pull an index, run the job, record a
 // failure. It is the engine's hot path — per job it must do nothing but
-// dispatch, so batch throughput is the arenas' throughput.
+// dispatch, so batch throughput is the arenas' throughput. A job pulled
+// after ctx is done does not start: the feed loop's select may still
+// pick a free queue slot over the closed done channel, and jobs queued
+// before the cancel are still in the buffer, so the check is made here,
+// where a job starts, as the inline path makes it.
 //
 //flb:hotpath
-func (e *Engine) work(w *Worker, jobs <-chan int, fn func(w *Worker, i int) error, be *batchErr) {
+func (e *Engine) work(ctx context.Context, w *Worker, jobs <-chan int, fn func(w *Worker, i int) error, be *batchErr) {
 	for i := range jobs {
+		if err := ctx.Err(); err != nil {
+			be.record(i, err)
+			continue
+		}
 		if err := fn(w, i); err != nil {
 			be.record(i, err)
 		}

@@ -189,10 +189,10 @@ func WithWorkers(n int) Option {
 // repair. A canceled context aborts the run; a plain exceeded deadline
 // does not. The plan's Repair mode is ignored when a context is set.
 //
-// RunBatch and ExecuteBatch additionally stop dispatching queued jobs
-// once ctx is done: running jobs complete, every undispatched job fails
-// with ctx.Err(), and the batch error keeps the lowest-failing-index
-// contract (see par.Engine.EachCtx).
+// RunBatch and ExecuteBatch additionally start no further job once ctx
+// is done: running jobs complete, every job not yet started fails with
+// ctx.Err(), and the batch error keeps the lowest-failing-index contract
+// (see par.Engine.EachCtx).
 //
 // Run's FLB path (cached or not) is cooperatively cancelable too: the
 // scheduling loop polls ctx every 4096 placements and aborts with an
