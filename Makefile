@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeap$$' -fuzztime 10s ./internal/pq
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/memo
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleHandler$$' -fuzztime 10s ./internal/svc
+	$(GO) test -run '^$$' -fuzz '^FuzzExecuteOracle$$' -fuzztime 10s ./internal/sim
 
 # Schedule-cache latency sweep (cold vs warm vs near-hit, mixed streams).
 cache:
@@ -60,7 +61,7 @@ hetero:
 	$(GO) run ./cmd/flbbench -exp hetero
 
 bench:
-	$(GO) test -run '^$$' -bench 'Fig2|Scaling' -benchmem .
+	$(GO) test -run '^$$' -bench 'Fig2|Scaling|Execute' -benchmem .
 
 # Million-task scale sweep, CI-quick configuration (10^5-task instances):
 # streaming build + compact-CSR footprint against the committed

@@ -1,7 +1,6 @@
 package flb
 
 import (
-	"context"
 	"io"
 	"math/rand"
 	"time"
@@ -114,19 +113,6 @@ func NewSystem(p int, opts ...SystemOption) System {
 	return sys
 }
 
-// Trace runs FLB on g for p processors and returns the per-iteration
-// execution trace together with the schedule — the data of the paper's
-// Table 1. Render with FormatTrace.
-//
-// Deprecated: Trace is the pre-observer API. Use Run with
-// WithObserver(NewStepRecorder(&steps)) — which is exactly what this
-// wrapper does — or any other Observer for richer event access.
-func Trace(g *Graph, p int) ([]Step, *Schedule, error) {
-	var steps []Step
-	s, err := Run(g, WithSystem(NewSystem(p)), WithObserver(NewStepRecorder(&steps)))
-	return steps, s, err
-}
-
 // FormatTrace renders an execution trace in the layout of the paper's
 // Table 1. names maps task IDs to labels; nil means t0, t1, ...
 func FormatTrace(steps []Step, names func(int) string) string {
@@ -143,39 +129,9 @@ func NewAlgorithm(name string, seed int64) (Algorithm, error) {
 	return registry.New(name, seed)
 }
 
-// RunWith schedules g on p processors with the named algorithm.
-//
-// Deprecated: RunWith is the positional-argument API. Use
-// Run(g, WithSystem(NewSystem(p)), WithAlgorithm(name), WithSeed(seed)).
-func RunWith(name string, g *Graph, p int, seed int64) (*Schedule, error) {
-	return Run(g, WithSystem(NewSystem(p)), WithAlgorithm(name), WithSeed(seed))
-}
-
 // SimResult is the outcome of a simulated self-timed execution of a
-// schedule; see Simulate.
+// schedule: the embedded result of Execute, and SimulateContended's.
 type SimResult = sim.Result
-
-// Simulate executes schedule s self-timed (placement and per-processor
-// order as scheduled; start times driven by actual completions and message
-// arrivals) with computation costs jittered by ±epsComp and communication
-// by ±epsComm (uniform factors, deterministic in seed). With both epsilons
-// zero it reproduces the schedule's own start times exactly. It quantifies
-// a compile-time schedule's robustness to cost misestimation.
-//
-// The comp and comm jitters draw from independent seed-derived streams:
-// changing (or zeroing) one epsilon never shifts the other stream's draw
-// sequence.
-//
-// Deprecated: Simulate is the positional-argument API. Use
-// Execute(s, WithJitter(epsComp, epsComm), WithSeed(seed)), whose
-// embedded SimResult is bit-identical.
-func Simulate(s *Schedule, epsComp, epsComm float64, seed int64) (*SimResult, error) {
-	er, err := Execute(s, WithJitter(epsComp, epsComm), WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &er.Result, nil
-}
 
 // jitterStream builds the perturbation for one independent jitter
 // stream. A zero epsilon returns nil (exact costs): no RNG is created
@@ -187,9 +143,9 @@ func jitterStream(seed int64, stream uint64, eps float64) sim.Perturb {
 	return sim.UniformJitter(rand.New(rand.NewSource(sim.DeriveSeed(seed, stream))), eps)
 }
 
-// Fault-tolerance surface, re-exported from internal/fault and
-// internal/sim: fail-stop crash plans, the retry policy for lossy
-// messages, and the faulty execution result.
+// Fault-tolerance surface, re-exported from internal/fault: fail-stop
+// crash plans, the retry policy for lossy messages, and the repair
+// strategies. Execute takes a plan through WithFaults.
 type (
 	// FaultPlan describes the faults injected into one execution; the
 	// zero value is fault-free.
@@ -200,8 +156,6 @@ type (
 	RetryPolicy = fault.RetryPolicy
 	// RepairMode selects how a crash's stranded tasks are replanned.
 	RepairMode = fault.Mode
-	// FaultResult extends SimResult with fault bookkeeping.
-	FaultResult = sim.FaultResult
 )
 
 // Repair strategies for FaultPlan.Repair.
@@ -221,22 +175,6 @@ type Rescheduler = core.Rescheduler
 // NewRescheduler returns an empty online repair arena.
 func NewRescheduler() *Rescheduler { return core.NewRescheduler() }
 
-// SimulateFaulty executes schedule s self-timed like Simulate while
-// injecting the failures described by plan: processors fail-stop at the
-// planned times, lost messages pay timeout/retry delays, and after every
-// crash the unexecuted suffix of the plan is repaired onto the surviving
-// processors with the plan's repair strategy. The run is deterministic
-// in (s, plan, epsComp, epsComm, seed); with a zero-value plan it
-// reproduces Simulate bit for bit. It returns an error if every
-// processor crashes.
-//
-// Deprecated: SimulateFaulty is the positional-argument API. Use
-// Execute(s, WithFaults(plan), WithJitter(epsComp, epsComm),
-// WithSeed(seed)), whose result is bit-identical.
-func SimulateFaulty(s *Schedule, plan FaultPlan, epsComp, epsComm float64, seed int64) (*FaultResult, error) {
-	return Execute(s, WithFaults(plan), WithJitter(epsComp, epsComm), WithSeed(seed))
-}
-
 // fixedChooser returns the chooser applying one repair strategy to every
 // crash, with the arenas shared across repairs. A nil re builds a private
 // reschedule arena; batch callers pass their worker's.
@@ -251,34 +189,14 @@ func fixedChooser(m RepairMode, re *core.Rescheduler) sim.RepairChooser {
 	return func(fault.Crash, int) (fault.Repairer, error) { return re, nil }
 }
 
-// RunContext is SimulateFaulty with graceful degradation under a
-// wall-clock budget: while ctx has room, crashes are repaired with the
-// full FLB reschedule; once the deadline has passed — or the time left
-// is under four times the cost of the previous FLB repair — remaining
-// crashes fall back to the cheap migrate-in-place repair so the run
-// still completes with a valid result. A canceled context aborts with
-// the context's error. plan.Repair is ignored; the chooser described
-// here takes its place.
-//
-// The simulated result is deterministic given the same repair-mode
-// decisions; the decisions themselves depend on wall-clock timing, which
-// is the point of the escape hatch.
-//
-// Deprecated: RunContext is the positional-argument API. Use
-// Execute(s, WithContext(ctx), WithFaults(plan),
-// WithJitter(epsComp, epsComm), WithSeed(seed)).
-func RunContext(ctx context.Context, s *Schedule, plan FaultPlan, epsComp, epsComm float64, seed int64) (*FaultResult, error) {
-	return Execute(s, WithContext(ctx), WithFaults(plan), WithJitter(epsComp, epsComm), WithSeed(seed))
-}
-
-// timedRepairer measures each repair's wall-clock cost so RunContext can
-// judge whether the deadline leaves room for another one.
+// timedRepairer measures each repair's wall-clock cost so the WithContext
+// chooser can judge whether the deadline leaves room for another one.
 type timedRepairer struct {
 	r    fault.Repairer
 	cost *time.Duration
 }
 
-//flb:wallclock measures real repair cost for the deadline budget of RunContext
+//flb:wallclock measures real repair cost for the deadline budget of WithContext
 func (t timedRepairer) Repair(req *fault.Request) error {
 	start := time.Now()
 	err := t.r.Repair(req)
@@ -302,7 +220,7 @@ const (
 // contention the paper's machine model abstracts away (§2). The result's
 // makespan is never below the schedule's planned one.
 func SimulateContended(s *Schedule, net Network) (*SimResult, error) {
-	return sim.RunContended(s, net)
+	return sim.RunContended(s, net, nil)
 }
 
 // Refine hill-climbs on a complete schedule's processor assignment

@@ -18,31 +18,11 @@ func faultSchedule(t *testing.T, seed int64, procs int) *flb.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := flb.RunProcs(g, procs)
+	s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(procs)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestSimulateFaultyZeroPlanMatchesSimulate: the zero-value FaultPlan is
-// a no-op — SimulateFaulty must reproduce Simulate bit for bit, jitter
-// included.
-func TestSimulateFaultyZeroPlanMatchesSimulate(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		s := faultSchedule(t, seed, 4)
-		want, err := flb.Simulate(s, 0.2, 0.3, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := flb.SimulateFaulty(s, flb.FaultPlan{}, 0.2, 0.3, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Result, *want) {
-			t.Fatalf("seed %d: zero-fault SimulateFaulty differs from Simulate", seed)
-		}
-	}
 }
 
 // TestSimulateStreamsIndependent pins the split-RNG satellite: zeroing
@@ -54,22 +34,14 @@ func TestSimulateFaultyZeroPlanMatchesSimulate(t *testing.T) {
 func TestSimulateStreamsIndependent(t *testing.T) {
 	s := faultSchedule(t, 7, 3)
 	const seed = 99
-	commOnly, err := flb.Simulate(s, 0, 0.4, seed)
-	if err != nil {
-		t.Fatal(err)
+	run := func(epsComp, epsComm float64) *flb.ExecResult {
+		r, err := flb.Execute(s, flb.WithJitter(epsComp, epsComm), flb.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	both, err := flb.Simulate(s, 0.3, 0.4, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compOnly, err := flb.Simulate(s, 0.3, 0, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := flb.Simulate(s, 0, 0, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	commOnly, both, compOnly, exact := run(0, 0.4), run(0.3, 0.4), run(0.3, 0), run(0, 0)
 	// Independence: enabling comp jitter must not change which comm draws
 	// occurred, and vice versa. With a shared stream, the three jittered
 	// runs would all sample different sequences; with split streams the
@@ -97,16 +69,13 @@ func TestSimulateStreamsIndependent(t *testing.T) {
 		}
 	}
 	// Determinism pin: same inputs, same outputs, run to run.
-	again, err := flb.Simulate(s, 0.3, 0.4, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, both) {
-		t.Fatal("jittered Simulate is not deterministic in its seed")
+	if again := run(0.3, 0.4); !reflect.DeepEqual(again, both) {
+		t.Fatal("jittered Execute is not deterministic in its seed")
 	}
 }
 
-// TestSimulateFaultyModes: both repair strategies complete a crashy run
+// TestSimulateFaultyModes: under Execute with WithFaults, both repair
+// strategies complete a crashy run
 // with every task on a survivor, and the reschedule repair is
 // deterministic.
 func TestSimulateFaultyModes(t *testing.T) {
@@ -118,11 +87,11 @@ func TestSimulateFaultyModes(t *testing.T) {
 	}
 	for _, mode := range []flb.RepairMode{flb.RepairReschedule, flb.RepairMigrate} {
 		plan.Repair = mode
-		a, err := flb.SimulateFaulty(s, plan, 0, 0, 17)
+		a, err := flb.Execute(s, flb.WithFaults(plan), flb.WithSeed(17))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		b, err := flb.SimulateFaulty(s, plan, 0, 0, 17)
+		b, err := flb.Execute(s, flb.WithFaults(plan), flb.WithSeed(17))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,42 +109,44 @@ func TestSimulateFaultyModes(t *testing.T) {
 	}
 }
 
-// TestRunContextCanceled: a canceled context aborts with the context's
-// error instead of returning a half-repaired result.
+// TestRunContextCanceled: under WithContext, a canceled context aborts
+// Execute with the context's error instead of returning a half-repaired
+// result.
 func TestRunContextCanceled(t *testing.T) {
 	s := faultSchedule(t, 13, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := flb.RunContext(ctx, s, flb.FaultPlan{}, 0, 0, 1)
+	_, err := flb.Execute(s, flb.WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestRunContextGenerousDeadline: with ample time RunContext repairs
-// with the full FLB reschedule and matches SimulateFaulty exactly.
+// TestRunContextGenerousDeadline: with ample time, Execute under
+// WithContext repairs with the full FLB reschedule and matches the
+// RepairReschedule mode exactly.
 func TestRunContextGenerousDeadline(t *testing.T) {
 	s := faultSchedule(t, 17, 4)
 	plan := flb.FaultPlan{Crashes: []flb.Crash{{Proc: 0, Time: s.Makespan() * 0.3}}}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	got, err := flb.RunContext(ctx, s, plan, 0, 0, 5)
+	got, err := flb.Execute(s, flb.WithContext(ctx), flb.WithFaults(plan), flb.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan.Repair = flb.RepairReschedule
-	want, err := flb.SimulateFaulty(s, plan, 0, 0, 5)
+	want, err := flb.Execute(s, flb.WithFaults(plan), flb.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunContext with a generous deadline differs from SimulateFaulty(RepairReschedule)")
+		t.Fatal("WithContext with a generous deadline differs from RepairReschedule")
 	}
 }
 
-// TestRunContextExpiredDeadline: a deadline already in the past degrades
-// every repair to migrate-in-place — the run still completes and matches
-// SimulateFaulty's migrate mode.
+// TestRunContextExpiredDeadline: under WithContext, a deadline already in
+// the past degrades every repair to migrate-in-place — the run still
+// completes and matches the RepairMigrate mode.
 func TestRunContextExpiredDeadline(t *testing.T) {
 	s := faultSchedule(t, 19, 4)
 	plan := flb.FaultPlan{Crashes: []flb.Crash{
@@ -185,22 +156,23 @@ func TestRunContextExpiredDeadline(t *testing.T) {
 	deadline := time.Now().Add(-time.Second)
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	got, err := flb.RunContext(ctx, s, plan, 0, 0, 9)
+	got, err := flb.Execute(s, flb.WithContext(ctx), flb.WithFaults(plan), flb.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan.Repair = flb.RepairMigrate
-	want, err := flb.SimulateFaulty(s, plan, 0, 0, 9)
+	want, err := flb.Execute(s, flb.WithFaults(plan), flb.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunContext past its deadline differs from SimulateFaulty(RepairMigrate)")
+		t.Fatal("WithContext past its deadline differs from RepairMigrate")
 	}
 }
 
-// TestNewRescheduler exercises the exported repair arena end to end via
-// the chooser shared by SimulateFaulty — repeated crashes reuse it.
+// TestReschedulerSharedAcrossCrashes exercises the repair arena end to
+// end via the chooser Execute shares across crashes — repeated crashes
+// reuse it.
 func TestReschedulerSharedAcrossCrashes(t *testing.T) {
 	s := faultSchedule(t, 23, 5)
 	plan := flb.FaultPlan{
@@ -211,7 +183,7 @@ func TestReschedulerSharedAcrossCrashes(t *testing.T) {
 			{Proc: 2, Time: s.Makespan() * 0.9},
 		},
 	}
-	res, err := flb.SimulateFaulty(s, plan, 0, 0, 3)
+	res, err := flb.Execute(s, flb.WithFaults(plan), flb.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

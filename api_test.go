@@ -18,7 +18,7 @@ func TestQuickstartFlow(t *testing.T) {
 	g.AddEdge(b, d, 2)
 	g.AddEdge(c, d, 2)
 
-	s, err := flb.RunProcs(g, 2)
+	s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestRunWithEveryAlgorithm(t *testing.T) {
 	g := flb.PaperExample()
 	for _, name := range flb.Algorithms() {
-		s, err := flb.RunWith(name, g, 2, 1)
+		s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)), flb.WithAlgorithm(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -45,13 +45,14 @@ func TestRunWithEveryAlgorithm(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := flb.RunWith("bogus", g, 2, 1); err == nil {
+	if _, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)), flb.WithAlgorithm("bogus")); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
 
 func TestTraceReproducesTable1(t *testing.T) {
-	steps, s, err := flb.Trace(flb.PaperExample(), 2)
+	var steps []flb.Step
+	s, err := flb.Run(flb.PaperExample(), flb.WithSystem(flb.NewSystem(2)), flb.WithObserver(flb.NewStepRecorder(&steps)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestWorkloadFacade(t *testing.T) {
 func TestCustomCommModel(t *testing.T) {
 	g := flb.PaperExample()
 	sys := flb.System{P: 2, Comm: flb.LatencyBandwidth{Latency: 1, Bandwidth: 2}}
-	s, err := flb.RunOn(g, sys)
+	s, err := flb.Run(g, flb.WithSystem(sys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +146,12 @@ func TestNewAlgorithmDirectUse(t *testing.T) {
 
 func TestSimulateFacade(t *testing.T) {
 	g := flb.PaperExample()
-	s, err := flb.RunProcs(g, 2)
+	s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Zero jitter reproduces the planned makespan exactly.
-	r, err := flb.Simulate(s, 0, 0, 1)
+	r, err := flb.Execute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,18 +159,18 @@ func TestSimulateFacade(t *testing.T) {
 		t.Errorf("exact simulation makespan = %v, want %v", r.Makespan, s.Makespan())
 	}
 	// Jittered runs are deterministic in the seed.
-	a, err := flb.Simulate(s, 0.3, 0.3, 7)
-	if err != nil {
-		t.Fatal(err)
+	jitter := func(seed int64) *flb.ExecResult {
+		r, err := flb.Execute(s, flb.WithJitter(0.3, 0.3), flb.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	b, err := flb.Simulate(s, 0.3, 0.3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := jitter(7), jitter(7)
 	if a.Makespan != b.Makespan {
-		t.Error("Simulate not deterministic for fixed seed")
+		t.Error("Execute not deterministic for fixed seed")
 	}
-	c, _ := flb.Simulate(s, 0.3, 0.3, 8)
+	c := jitter(8)
 	if a.Makespan == c.Makespan {
 		t.Error("different seeds gave identical jittered makespans")
 	}
@@ -177,11 +178,11 @@ func TestSimulateFacade(t *testing.T) {
 
 func TestSimulateContendedFacade(t *testing.T) {
 	g := flb.PaperExample()
-	s, err := flb.RunProcs(g, 2)
+	s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := flb.Simulate(s, 0, 0, 1)
+	free, err := flb.Execute(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestSimulateContendedFacade(t *testing.T) {
 
 func TestRefineFacade(t *testing.T) {
 	g := flb.PaperExample()
-	s, err := flb.RunProcs(g, 2)
+	s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

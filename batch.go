@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 
-	"flb/internal/machine"
 	"flb/internal/memo"
 	"flb/internal/obs"
 	"flb/internal/par"
@@ -39,31 +38,6 @@ func batchCtx(o *Options) context.Context {
 // receives no events.
 func RunBatch(graphs []*Graph, opts ...Option) ([]*Schedule, error) {
 	o := buildOptions(opts)
-	return runBatchOptions(graphs, &o)
-}
-
-// RunBatchProcs schedules every graph on p homogeneous processors.
-//
-// Deprecated: RunBatchProcs is the positional form RunBatch had before
-// the machine became an option. Use
-// RunBatch(graphs, WithSystem(NewSystem(p)), opts...); the wrapper is
-// pinned bit-identical to it.
-func RunBatchProcs(graphs []*Graph, p int, opts ...Option) ([]*Schedule, error) {
-	return RunBatch(graphs, prependOption(WithSystem(machine.NewSystem(p)), opts)...)
-}
-
-// RunBatchOn is RunBatch on an explicit system.
-//
-// Deprecated: RunBatchOn is the positional form. Use
-// RunBatch(graphs, WithSystem(sys), opts...); the wrapper is pinned
-// bit-identical to it, and a WithSystem among opts overrides sys.
-func RunBatchOn(graphs []*Graph, sys System, opts ...Option) ([]*Schedule, error) {
-	return RunBatch(graphs, prependOption(WithSystem(sys), opts)...)
-}
-
-// runBatchOptions is the batch engine shared by RunBatch and its
-// deprecated positional wrappers.
-func runBatchOptions(graphs []*Graph, o *Options) ([]*Schedule, error) {
 	sys := o.system()
 	flbPath := o.algorithm == "" || strings.EqualFold(o.algorithm, "flb")
 	// Batch-wide knobs are validated once, before the pool spins up:
@@ -83,7 +57,7 @@ func runBatchOptions(graphs []*Graph, o *Options) ([]*Schedule, error) {
 	eng := par.New(o.workers)
 	out := make([]*Schedule, len(graphs))
 	tee := newSinkTee(o.observer, eng.Workers(), len(graphs))
-	err := eng.EachCtx(batchCtx(o), len(graphs), func(w *par.Worker, i int) error {
+	err := eng.EachCtx(batchCtx(&o), len(graphs), func(w *par.Worker, i int) error {
 		if flbPath {
 			// Exact-tier cache lookup, unobserved jobs only: a hit's bytes
 			// equal the cold run's bytes, so results stay independent of

@@ -43,17 +43,17 @@ var batchWorkerCounts = []int{1, 2, 8}
 func TestRunBatchMatchesSerial(t *testing.T) {
 	gs := batchGraphs(t)
 	for _, alg := range []string{"flb", "mcp"} {
-		opts := []flb.Option{flb.WithAlgorithm(alg), flb.WithSeed(7)}
+		opts := []flb.Option{flb.WithSystem(flb.NewSystem(8)), flb.WithAlgorithm(alg), flb.WithSeed(7)}
 		want := make([]string, len(gs))
 		for i, g := range gs {
-			s, err := flb.RunProcs(g, 8, opts...)
+			s, err := flb.Run(g, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want[i] = scheduleBytes(t, s)
 		}
 		for _, w := range batchWorkerCounts {
-			got, err := flb.RunBatchProcs(gs, 8, append(opts[:len(opts):len(opts)], flb.WithWorkers(w))...)
+			got, err := flb.RunBatch(gs, append(opts[:len(opts):len(opts)], flb.WithWorkers(w))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,11 +103,11 @@ func executeOptionCases() []struct {
 
 // TestExecuteBatchMatchesSerial: fault-free, jittered, faulty and lossy
 // executions through the batch engine reproduce the serial Execute loop
-// exactly for every worker count. Every FaultResult field is
+// exactly for every worker count. Every ExecResult field is
 // deterministic, so DeepEqual is byte-level equivalence.
 func TestExecuteBatchMatchesSerial(t *testing.T) {
 	gs := batchGraphs(t)
-	scheds, err := flb.RunBatchProcs(gs, 8, flb.WithWorkers(2))
+	scheds, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBatchObserverStream(t *testing.T) {
 	}
 	want := trace(func(o flb.Observer) error {
 		for _, g := range gs {
-			s, err := flb.RunProcs(g, 8, flb.WithObserver(o))
+			s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithObserver(o))
 			if err != nil {
 				return err
 			}
@@ -163,7 +163,7 @@ func TestBatchObserverStream(t *testing.T) {
 	})
 	for _, w := range batchWorkerCounts {
 		got := trace(func(o flb.Observer) error {
-			scheds, err := flb.RunBatchProcs(gs, 8, flb.WithObserver(o), flb.WithWorkers(w))
+			scheds, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithObserver(o), flb.WithWorkers(w))
 			if err != nil {
 				return err
 			}
@@ -181,13 +181,13 @@ func TestBatchObserverStream(t *testing.T) {
 func TestBatchErrorIsSerial(t *testing.T) {
 	gs := batchGraphs(t)
 	rec := flb.NewRecorder()
-	_, err := flb.RunBatchProcs(gs, 8,
+	_, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)),
 		flb.WithAlgorithm("no-such-algorithm"), flb.WithWorkers(4), flb.WithObserver(rec))
 	if err == nil {
 		t.Fatal("RunBatch accepted an unknown algorithm")
 	}
 	var wantErr error
-	if _, wantErr = flb.RunProcs(gs[0], 8, flb.WithAlgorithm("no-such-algorithm")); wantErr == nil {
+	if _, wantErr = flb.Run(gs[0], flb.WithSystem(flb.NewSystem(8)), flb.WithAlgorithm("no-such-algorithm")); wantErr == nil {
 		t.Fatal("Run accepted an unknown algorithm")
 	}
 	if err.Error() != wantErr.Error() {
@@ -205,25 +205,25 @@ func TestBatchErrorIsSerial(t *testing.T) {
 func TestRunBatchValidationHoisted(t *testing.T) {
 	gs := batchGraphs(t)
 	bad := flb.System{P: 0}
-	_, batchErr := flb.RunBatchOn(gs, bad)
+	_, batchErr := flb.RunBatch(gs, flb.WithSystem(bad))
 	if batchErr == nil {
-		t.Fatal("RunBatchOn accepted P=0")
+		t.Fatal("RunBatch accepted P=0")
 	}
-	_, serialErr := flb.RunOn(gs[0], bad)
+	_, serialErr := flb.Run(gs[0], flb.WithSystem(bad))
 	if serialErr == nil {
-		t.Fatal("RunOn accepted P=0")
+		t.Fatal("Run accepted P=0")
 	}
 	if batchErr.Error() != serialErr.Error() {
 		t.Errorf("batch error %q, serial error %q", batchErr, serialErr)
 	}
 	// Precedence: with both knobs broken, the algorithm error wins.
-	_, bothErr := flb.RunBatchOn(gs, bad, flb.WithAlgorithm("no-such-algorithm"))
+	_, bothErr := flb.RunBatch(gs, flb.WithSystem(bad), flb.WithAlgorithm("no-such-algorithm"))
 	if bothErr == nil {
-		t.Fatal("RunBatchOn accepted an unknown algorithm on an invalid system")
+		t.Fatal("RunBatch accepted an unknown algorithm on an invalid system")
 	}
-	_, wantErr := flb.RunOn(gs[0], bad, flb.WithAlgorithm("no-such-algorithm"))
+	_, wantErr := flb.Run(gs[0], flb.WithSystem(bad), flb.WithAlgorithm("no-such-algorithm"))
 	if wantErr == nil {
-		t.Fatal("RunOn accepted an unknown algorithm")
+		t.Fatal("Run accepted an unknown algorithm")
 	}
 	if bothErr.Error() != wantErr.Error() {
 		t.Errorf("batch precedence error %q, serial %q", bothErr, wantErr)
@@ -250,12 +250,12 @@ func TestRunBatchPerJobAllocBudget(t *testing.T) {
 	}
 	measure := func(gs []*flb.Graph) float64 {
 		for i := 0; i < 2; i++ { // warm the engine and arenas
-			if _, err := flb.RunBatchProcs(gs, 8, flb.WithWorkers(1)); err != nil {
+			if _, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := flb.RunBatchProcs(gs, 8, flb.WithWorkers(1)); err != nil {
+			if _, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(1)); err != nil {
 				t.Fatal(err)
 			}
 		})

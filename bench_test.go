@@ -5,6 +5,7 @@
 package flb_test
 
 import (
+	"context"
 	"testing"
 
 	"flb"
@@ -73,6 +74,32 @@ func BenchmarkFig4_FLB(b *testing.B)           { runAlgo(b, "flb", instance(b, "
 func BenchmarkFig4_ETF(b *testing.B)           { runAlgo(b, "etf", instance(b, "laplace", 5), 16) }
 func BenchmarkFig4_FCP(b *testing.B)           { runAlgo(b, "fcp", instance(b, "laplace", 5), 16) }
 func BenchmarkFig4_DSCLLB(b *testing.B)        { runAlgo(b, "dsc-llb", instance(b, "laplace", 5), 16) }
+
+// BenchmarkExecute times one self-timed execution of an FLB schedule (LU,
+// V≈2000, P=8): without options, and with the WithContext +
+// WithFaults(zero plan) pair flbd passes for every execute=1 request.
+func BenchmarkExecute(b *testing.B) {
+	s, err := flb.Run(instance(b, "lu", 1), flb.WithSystem(flb.NewSystem(8)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		opts []flb.Option
+	}{
+		{"fault-free", nil},
+		{"context-faults", []flb.Option{flb.WithContext(context.Background()), flb.WithFaults(flb.FaultPlan{})}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := flb.Execute(s, bc.opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // Complexity scaling (§4.2): FLB on a double-size graph — the per-task
 // cost should stay near the V=2000 benchmarks above (log factors only).

@@ -2,8 +2,8 @@ package flb
 
 import "flb/internal/memo"
 
-// ScheduleCache memoizes finished FLB schedules across Run, RunOn and
-// RunBatch calls (internal/memo): problems are keyed by a canonical
+// ScheduleCache memoizes finished FLB schedules across Run and RunBatch
+// calls (internal/memo): problems are keyed by a canonical
 // fingerprint over graph structure, task and edge weights, processor
 // count, communication model, algorithm and seed, and a fixed-capacity
 // LRU holds deep copies of the results.
@@ -29,7 +29,7 @@ import "flb/internal/memo"
 //   - Observed runs (WithObserver) bypass lookups — the observer gets the
 //     cold decision stream — but still insert their result, and receive a
 //     CacheStats snapshot after the run.
-//   - RunBatch/RunBatchOn share one cache across all workers (the cache
+//   - RunBatch shares one cache across all workers (the cache
 //     is internally locked) and use the exact tier only: which entry a
 //     near hit would repair against depends on warm order, which under
 //     concurrent misses would break the batch determinism contract.
@@ -41,7 +41,7 @@ type ScheduleCache = memo.Cache
 // capacity schedules (capacity < 1 is clamped to 1).
 func NewScheduleCache(capacity int) *ScheduleCache { return memo.NewCache(capacity) }
 
-// WithCache routes Run, RunOn and RunBatch FLB scheduling through c:
+// WithCache routes Run and RunBatch FLB scheduling through c:
 // lookups are answered from the cache and misses schedule cold and
 // insert. A nil cache disables memoization (the default). The same cache
 // value may back any number of concurrent calls.

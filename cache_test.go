@@ -24,14 +24,14 @@ func cacheGraph(t testing.TB, fam string, v int, seed int64) *flb.Graph {
 // serial half of the cached-vs-cold determinism contract.
 func TestRunCachedVsCold(t *testing.T) {
 	g := cacheGraph(t, "lu", 100, 1)
-	cold, err := flb.RunProcs(g, 8)
+	cold, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := scheduleBytes(t, cold)
 	c := flb.NewScheduleCache(8)
 	for _, pass := range []string{"fill", "hit"} {
-		s, err := flb.RunProcs(g, 8, flb.WithCache(c))
+		s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c))
 		if err != nil {
 			t.Fatalf("%s pass: %v", pass, err)
 		}
@@ -53,7 +53,7 @@ func TestRunBatchCachedVsCold(t *testing.T) {
 	gs := batchGraphs(t)
 	want := make([]string, len(gs))
 	for i, g := range gs {
-		s, err := flb.RunProcs(g, 8)
+		s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestRunBatchCachedVsCold(t *testing.T) {
 	for _, w := range batchWorkerCounts {
 		c := flb.NewScheduleCache(2 * len(gs))
 		for pass := 0; pass < 2; pass++ {
-			got, err := flb.RunBatchProcs(gs, 8, flb.WithWorkers(w), flb.WithCache(c))
+			got, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(w), flb.WithCache(c))
 			if err != nil {
 				t.Fatalf("workers=%d pass %d: %v", w, pass, err)
 			}
@@ -91,14 +91,14 @@ func TestRunBatchSharedCacheConcurrent(t *testing.T) {
 	for i := range gs {
 		gs[i] = g
 	}
-	cold, err := flb.RunProcs(g, 8)
+	cold, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := scheduleBytes(t, cold)
 	for _, w := range []int{2, 8} {
 		c := flb.NewScheduleCache(8)
-		got, err := flb.RunBatchProcs(gs, 8, flb.WithWorkers(w), flb.WithCache(c))
+		got, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(w), flb.WithCache(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +114,11 @@ func TestRunBatchSharedCacheConcurrent(t *testing.T) {
 	// A second batch over a warm cache answers every job from the exact
 	// tier.
 	c := flb.NewScheduleCache(8)
-	if _, err := flb.RunBatchProcs(gs, 8, flb.WithWorkers(8), flb.WithCache(c)); err != nil {
+	if _, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(8), flb.WithCache(c)); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Stats()
-	if _, err := flb.RunBatchProcs(gs, 8, flb.WithWorkers(8), flb.WithCache(c)); err != nil {
+	if _, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(8), flb.WithCache(c)); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -135,7 +135,7 @@ func TestRunNearHitTier(t *testing.T) {
 	g := cacheGraph(t, "lu", 100, 3)
 	c := flb.NewScheduleCache(8)
 	c.EnableNearHit(true)
-	base, err := flb.RunProcs(g, 8, flb.WithCache(c))
+	base, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRunNearHitTier(t *testing.T) {
 		drifted.SetComp(tk, g.Comp(tk)*1.2)
 	}
 	drifted.Freeze()
-	s1, err := flb.RunProcs(drifted, 8, flb.WithCache(c))
+	s1, err := flb.Run(drifted, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRunNearHitTier(t *testing.T) {
 	if err := s1.Validate(); err != nil {
 		t.Fatalf("near hit does not validate: %v", err)
 	}
-	s2, err := flb.RunProcs(drifted, 8, flb.WithCache(c))
+	s2, err := flb.Run(drifted, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCacheObserverContract(t *testing.T) {
 	g := cacheGraph(t, "laplace", 90, 4)
 	c := flb.NewScheduleCache(8)
 	m := flb.NewTelemetry()
-	if _, err := flb.RunProcs(g, 8, flb.WithCache(c), flb.WithObserver(m)); err != nil {
+	if _, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c), flb.WithObserver(m)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cache.Puts != 1 || m.Cache.Gets != 0 {
@@ -185,17 +185,17 @@ func TestCacheObserverContract(t *testing.T) {
 	// The observed run's decision stream is the cold stream even on a
 	// warm cache: a second observed run emits scheduling steps again.
 	rec := flb.NewRecorder()
-	if _, err := flb.RunProcs(g, 8, flb.WithCache(c), flb.WithObserver(rec)); err != nil {
+	if _, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c), flb.WithObserver(rec)); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() == 0 {
 		t.Errorf("observed run on a warm cache emitted no events")
 	}
 	// Unobserved runs hit; the next observed run's snapshot shows them.
-	if _, err := flb.RunProcs(g, 8, flb.WithCache(c)); err != nil {
+	if _, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flb.RunProcs(g, 8, flb.WithCache(c), flb.WithObserver(m)); err != nil {
+	if _, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c), flb.WithObserver(m)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cache.Hits != 1 || m.Cache.Puts != 1 {
@@ -208,7 +208,7 @@ func TestCacheObserverContract(t *testing.T) {
 	gs := []*flb.Graph{g, cacheGraph(t, "laplace", 90, 5)}
 	m2 := flb.NewTelemetry()
 	c2 := flb.NewScheduleCache(8)
-	if _, err := flb.RunBatchProcs(gs, 8, flb.WithCache(c2), flb.WithObserver(m2), flb.WithWorkers(2)); err != nil {
+	if _, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c2), flb.WithObserver(m2), flb.WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Cache.Puts != int64(len(gs)) {
@@ -221,10 +221,10 @@ func TestCacheObserverContract(t *testing.T) {
 func TestCacheIgnoredOffFLBPath(t *testing.T) {
 	g := cacheGraph(t, "lu", 80, 6)
 	c := flb.NewScheduleCache(4)
-	if _, err := flb.RunProcs(g, 8, flb.WithAlgorithm("mcp"), flb.WithCache(c)); err != nil {
+	if _, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithAlgorithm("mcp"), flb.WithCache(c)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flb.RunBatchProcs([]*flb.Graph{g}, 8, flb.WithAlgorithm("mcp"), flb.WithCache(c)); err != nil {
+	if _, err := flb.RunBatch([]*flb.Graph{g}, flb.WithSystem(flb.NewSystem(8)), flb.WithAlgorithm("mcp"), flb.WithCache(c)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Gets != 0 || st.Puts != 0 || c.Len() != 0 {
@@ -239,13 +239,13 @@ func TestCacheSharedAcrossSerialAndBatch(t *testing.T) {
 	c := flb.NewScheduleCache(8)
 	var want []string
 	for _, g := range gs {
-		s, err := flb.RunProcs(g, 8, flb.WithCache(c))
+		s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, scheduleBytes(t, s))
 	}
-	got, err := flb.RunBatchProcs(gs, 8, flb.WithCache(c), flb.WithWorkers(2))
+	got, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c), flb.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestCacheConcurrentFacadeUse(t *testing.T) {
 	}
 	want := make([]string, len(gs))
 	for i, g := range gs {
-		s, err := flb.RunProcs(g, 8)
+		s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestCacheConcurrentFacadeUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				j := (w + i) % len(gs)
-				s, err := flb.RunProcs(gs[j], 8, flb.WithCache(c))
+				s, err := flb.Run(gs[j], flb.WithSystem(flb.NewSystem(8)), flb.WithCache(c))
 				if err != nil {
 					errs <- err.Error()
 					return

@@ -175,11 +175,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *jitter > 1 {
 			return fmt.Errorf("-jitter %g out of range [0, 1]", *jitter)
 		}
-		exact, err := flb.Simulate(s, 0, 0, *seed)
+		exact, err := flb.Execute(s, flb.WithSeed(*seed))
 		if err != nil {
 			return err
 		}
-		jit, err := flb.Simulate(s, *jitter, *jitter, *seed)
+		jit, err := flb.Execute(s, flb.WithJitter(*jitter, *jitter), flb.WithSeed(*seed))
 		if err != nil {
 			return err
 		}

@@ -29,9 +29,12 @@ func ExampleRun() {
 	// a on p0 at 0
 }
 
-// ExampleTrace reproduces the first and last rows of the paper's Table 1.
-func ExampleTrace() {
-	steps, s, err := flb.Trace(flb.PaperExample(), 2)
+// ExampleNewStepRecorder reproduces the first and last rows of the
+// paper's Table 1 from FLB's decision events.
+func ExampleNewStepRecorder() {
+	var steps []flb.Step
+	s, err := flb.Run(flb.PaperExample(), flb.WithSystem(flb.NewSystem(2)),
+		flb.WithObserver(flb.NewStepRecorder(&steps)))
 	if err != nil {
 		panic(err)
 	}
@@ -45,11 +48,11 @@ func ExampleTrace() {
 	// makespan 14
 }
 
-// ExampleRunWith compares FLB against the paper's baselines by name.
-func ExampleRunWith() {
+// ExampleWithAlgorithm compares FLB against the paper's baselines by name.
+func ExampleWithAlgorithm() {
 	g := flb.PaperExample()
 	for _, name := range []string{"flb", "etf", "mcp"} {
-		s, err := flb.RunWith(name, g, 2, 1)
+		s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)), flb.WithAlgorithm(name))
 		if err != nil {
 			panic(err)
 		}
@@ -129,11 +132,11 @@ func ExampleWithObserver() {
 	// executed 8 tasks, makespan 14, utilization 0.68
 }
 
-// ExampleSimulate executes a schedule with exact runtime costs.
-func ExampleSimulate() {
+// ExampleExecute_exact executes a schedule with exact runtime costs.
+func ExampleExecute_exact() {
 	g := flb.PaperExample()
 	s, _ := flb.Run(g, flb.WithSystem(flb.NewSystem(2)))
-	r, err := flb.Simulate(s, 0, 0, 1)
+	r, err := flb.Execute(s)
 	if err != nil {
 		panic(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 		}
 		var sum, max float64
 		for d := 0; d < *draws; d++ {
-			r, err := flb.Simulate(s, *eps, *eps, *seed+int64(d))
+			r, err := flb.Execute(s, flb.WithJitter(*eps, *eps), flb.WithSeed(*seed+int64(d)))
 			if err != nil {
 				log.Fatal(err)
 			}

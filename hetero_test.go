@@ -80,13 +80,13 @@ func TestUnitSpeedsFaultPathBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Freeze()
-	run := func(sys flb.System) *flb.FaultResult {
+	run := func(sys flb.System) *flb.ExecResult {
 		s, err := flb.Run(g, flb.WithSystem(sys))
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan := flb.FaultPlan{Crashes: []flb.Crash{{Proc: 1, Time: s.Makespan() * 0.3}}}
-		res, err := flb.SimulateFaulty(s, plan, 0, 0, 11)
+		res, err := flb.Execute(s, flb.WithFaults(plan), flb.WithSeed(11))
 		if err != nil {
 			t.Fatal(err)
 		}

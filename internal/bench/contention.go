@@ -75,7 +75,7 @@ func Contention(cfg Config, p int) (*ContentionResult, error) {
 			if err != nil {
 				return fmt.Errorf("bench contention: %s: %w", a.Name(), err)
 			}
-			r, err := sim.RunContended(s, k.net)
+			r, err := sim.RunContended(s, k.net, nil)
 			if err != nil {
 				return fmt.Errorf("bench contention: sim: %w", err)
 			}

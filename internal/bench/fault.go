@@ -115,7 +115,7 @@ func FaultSweep(cfg Config, p int, crashCounts []int, draws int) (*FaultSweepRes
 		if err != nil {
 			return fmt.Errorf("bench fault: %s: %w", a.Name(), err)
 		}
-		base, err := sim.Run(s, nil, nil)
+		base, err := sim.Run(s, fault.Plan{}, nil, nil, 0, nil, nil)
 		if err != nil {
 			return fmt.Errorf("bench fault: sim: %w", err)
 		}
@@ -144,7 +144,7 @@ func FaultSweep(cfg Config, p int, crashCounts []int, draws int) (*FaultSweepRes
 						MaxRetries: 3,
 					}
 				}
-				fr, err := sim.RunFaulty(s, plan, nil, nil, rng.Int63(), choose)
+				fr, err := sim.Run(s, plan, nil, nil, rng.Int63(), choose, nil)
 				if err != nil {
 					return fmt.Errorf("bench fault: %s: %w", a.Name(), err)
 				}
@@ -181,7 +181,7 @@ func FaultSweep(cfg Config, p int, crashCounts []int, draws int) (*FaultSweepRes
 		if err != nil {
 			return nil, fmt.Errorf("bench fault: observed run: %w", err)
 		}
-		base, err := sim.Run(s, nil, nil)
+		base, err := sim.Run(s, fault.Plan{}, nil, nil, 0, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench fault: observed run: %w", err)
 		}
@@ -198,7 +198,7 @@ func FaultSweep(cfg Config, p int, crashCounts []int, draws int) (*FaultSweepRes
 				Time: (0.1 + 0.8*rng.Float64()) * base.Makespan,
 			})
 		}
-		if _, err := sim.RunFaultyObserved(s, plan, nil, nil, rng.Int63(), choose, cfg.Observer); err != nil {
+		if _, err := sim.Run(s, plan, nil, nil, rng.Int63(), choose, cfg.Observer); err != nil {
 			return nil, fmt.Errorf("bench fault: observed run: %w", err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flb/internal/core"
+	"flb/internal/fault"
 	"flb/internal/machine"
 	"flb/internal/par"
 	"flb/internal/sim"
@@ -105,7 +106,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench fig2: observed run: %w", err)
 		}
-		if _, err := sim.RunObserved(s, nil, nil, cfg.Observer); err != nil {
+		if _, err := sim.Run(s, fault.Plan{}, nil, nil, 0, nil, cfg.Observer); err != nil {
 			return nil, fmt.Errorf("bench fig2: observed run: %w", err)
 		}
 	}

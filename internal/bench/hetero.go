@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"flb/internal/fault"
 	"flb/internal/machine"
 	"flb/internal/par"
 	"flb/internal/sim"
@@ -107,7 +108,7 @@ func Hetero(cfg Config, ratios []float64, p int) (*HeteroResult, error) {
 			if err != nil {
 				return fmt.Errorf("bench hetero: blind flb: %w", err)
 			}
-			blindRes, err := sim.Run(hs.CloneFor(g, sysHet), nil, nil)
+			blindRes, err := sim.Run(hs.CloneFor(g, sysHet), fault.Plan{}, nil, nil, 0, nil, nil)
 			if err != nil {
 				return fmt.Errorf("bench hetero: blind execution: %w", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"flb/internal/fault"
 	"flb/internal/machine"
 	"flb/internal/sim"
 	"flb/internal/stats"
@@ -77,7 +78,7 @@ func Robust(cfg Config, p int, epsilons []float64, draws int) (*RobustResult, er
 				}
 				planned := s.Makespan()
 				for d := 0; d < draws; d++ {
-					r, err := sim.Run(s, sim.UniformJitter(rng, eps), sim.UniformJitter(rng, eps))
+					r, err := sim.Run(s, fault.Plan{}, sim.UniformJitter(rng, eps), sim.UniformJitter(rng, eps), 0, nil, nil)
 					if err != nil {
 						return nil, fmt.Errorf("bench robust: sim: %w", err)
 					}

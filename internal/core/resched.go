@@ -7,10 +7,11 @@ import (
 	"flb/internal/graph"
 	"flb/internal/machine"
 	"flb/internal/obs"
+	"flb/internal/pq"
 	"flb/internal/schedule"
 )
 
-// Rescheduler is the online repair engine behind flb.SimulateFaulty:
+// Rescheduler is the online repair engine behind flb.Execute's faults:
 // when a processor fails it remaps the unexecuted suffix of the plan
 // onto the surviving processors using FLB's selection criterion — the
 // ready task able to start earliest, placed on the processor achieving
@@ -41,7 +42,8 @@ import (
 type Rescheduler struct {
 	sc        *Scheduler
 	plan      *schedule.Schedule
-	ready     []int
+	ready     []int   // repairSuffix's candidates, scanned in full
+	readyQ    pq.Heap // ReplanSuffix's candidates, by bottom level
 	pending   []int
 	inPlan    []bool
 	procMap   []machine.Proc
@@ -236,7 +238,7 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 // bottom-level priority order (the paper's task priority; ties to the
 // smaller task id), each task placed on the processor achieving its
 // earliest start (ties to the smaller processor index). Selection runs
-// off a binary heap, so a repair of S tasks costs O(S log S + S·d·P)
+// off a heap (internal/pq), so a repair of S tasks costs O(S log S + S·d·P)
 // instead of the O(S·ready·P) full rescan the fault path performs — the
 // near-hit tier must stay well under a cold FLB run to be worth serving.
 // It is the engine behind the schedule cache's near-hit tier
@@ -294,7 +296,10 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 		r.inPlan[order[i]] = true
 	}
 	r.pending = growInt(r.pending, n)
-	r.ready = r.ready[:0]
+	// Priority: larger bottom level first (negated key), ties to the
+	// smaller task id (pq's final tie-break) — a total order, so the
+	// replan is deterministic.
+	r.readyQ.Grow(n)
 	for i := k; i < n; i++ {
 		t := order[i]
 		cnt := 0
@@ -306,13 +311,13 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 		}
 		r.pending[t] = cnt
 		if cnt == 0 {
-			r.readyPush(bl, t)
+			r.readyQ.Push(t, pq.Key{Primary: -bl[t]})
 		}
 	}
 	het := sys.Heterogeneous()
 	for placed := k; placed < n; placed++ {
-		bt := r.readyPop(bl)
-		if bt < 0 {
+		bt, _, ok := r.readyQ.Pop()
+		if !ok {
 			return nil, fmt.Errorf("core: ReplanSuffix stuck with %d tasks left — suffix is cyclic", n-placed)
 		}
 		// Earliest start on homogeneous systems (bit-identical to the seed
@@ -342,72 +347,11 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 			}
 			r.pending[to]--
 			if r.pending[to] == 0 {
-				r.readyPush(bl, to)
+				r.readyQ.Push(to, pq.Key{Primary: -bl[to]})
 			}
 		}
 	}
 	return r.plan, nil
-}
-
-// priorBefore is the replan priority: larger bottom level first, ties to
-// the smaller task id — a total order, so heap extraction (and with it
-// the whole replan) is deterministic.
-//
-//flb:exact equal bottom levels must fall through to the id comparison or the heap order, and the replanned schedule, loses determinism
-//flb:hotpath
-func priorBefore(bl []float64, a, b int) bool {
-	if bl[a] != bl[b] {
-		return bl[a] > bl[b]
-	}
-	return a < b
-}
-
-// readyPush inserts t into the ready heap (r.ready ordered by
-// priorBefore).
-//
-//flb:hotpath
-func (r *Rescheduler) readyPush(bl []float64, t int) {
-	r.ready = append(r.ready, t)
-	i := len(r.ready) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !priorBefore(bl, r.ready[i], r.ready[parent]) {
-			break
-		}
-		r.ready[i], r.ready[parent] = r.ready[parent], r.ready[i]
-		i = parent
-	}
-}
-
-// readyPop removes and returns the highest-priority ready task, or -1
-// when the heap is empty.
-//
-//flb:hotpath
-func (r *Rescheduler) readyPop(bl []float64) int {
-	n := len(r.ready)
-	if n == 0 {
-		return -1
-	}
-	top := r.ready[0]
-	r.ready[0] = r.ready[n-1]
-	r.ready = r.ready[:n-1]
-	n--
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && priorBefore(bl, r.ready[c+1], r.ready[c]) {
-			c++
-		}
-		if !priorBefore(bl, r.ready[c], r.ready[i]) {
-			break
-		}
-		r.ready[i], r.ready[c] = r.ready[c], r.ready[i]
-		i = c
-	}
-	return top
 }
 
 // est returns the earliest start of pending task t on survivor p: the

@@ -134,3 +134,22 @@ func TestReplanSuffixErrors(t *testing.T) {
 		t.Errorf("task-count mismatch accepted")
 	}
 }
+
+// TestReplanSuffixSteadyStateAllocs: a warm Rescheduler replans a suffix
+// without allocating — the output plan, the pending counters and the
+// ready heap are arena storage grown on the first call and reused.
+func TestReplanSuffixSteadyStateAllocs(t *testing.T) {
+	_, sys, base, drifted := replanProblem(t, 6, 200, 4, 50)
+	re := NewRescheduler()
+	run := func() {
+		if _, err := re.ReplanSuffix(drifted, sys, base, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		run()
+	}
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("warm ReplanSuffix allocates %.1f/run, want 0", avg)
+	}
+}

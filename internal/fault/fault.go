@@ -5,7 +5,7 @@
 // unexecuted suffix of a plan onto the surviving processors.
 //
 // The package deliberately holds only the model and the contract. The
-// execution engine lives in internal/sim (RunFaulty) and the
+// execution engine lives in internal/sim (Run) and the
 // FLB-criterion repairer in internal/core (Rescheduler), so that both
 // can depend on this package without depending on each other
 // (internal/sim's tests exercise the core schedulers, so internal/core
@@ -98,7 +98,8 @@ type Plan struct {
 	MsgLoss float64
 	// Retry governs timeouts for lost messages; required when MsgLoss > 0.
 	Retry RetryPolicy
-	// Repair selects the repair strategy for flb.SimulateFaulty.
+	// Repair selects the repair strategy (ignored by flb.Execute under
+	// WithContext, whose deadline picks the strategy per crash).
 	Repair Mode
 	// NoCheckpoint disables checkpoint-on-finish: a crash then also
 	// loses every finished output still resident only on the dead

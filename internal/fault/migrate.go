@@ -8,8 +8,8 @@ import "fmt"
 // survivor finishing it earliest — the least accumulated work on
 // homogeneous machines, work plus w/speed on uniformly related ones — in
 // the current execution order. It is O(todo · P), allocation-free in
-// steady state, and is the fallback flb.RunContext degrades to when the
-// deadline leaves no room for a full FLB reschedule.
+// steady state, and is the fallback flb.Execute under WithContext
+// degrades to when the deadline leaves no room for a full FLB reschedule.
 type MigrateRepairer struct {
 	load []float64 // accumulated work per processor, grown monotonically
 }

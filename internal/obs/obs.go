@@ -52,10 +52,9 @@ type Kind uint8
 const (
 	// KindSchedule is a compile-time scheduling run (core.FLB).
 	KindSchedule Kind = 1 + iota
-	// KindSim is a fault-free self-timed execution (sim.Run).
+	// KindSim is a self-timed execution, with or without injected
+	// faults (sim.Run).
 	KindSim
-	// KindSimFaulty is a fault-injected execution (sim.RunFaulty).
-	KindSimFaulty
 	// KindSimContended is a contention-aware execution (sim.RunContended).
 	KindSimContended
 	// KindRepair is an online repair pass (core.Rescheduler).
@@ -69,8 +68,6 @@ func (k Kind) String() string {
 		return "schedule"
 	case KindSim:
 		return "sim"
-	case KindSimFaulty:
-		return "sim-faulty"
 	case KindSimContended:
 		return "sim-contended"
 	case KindRepair:

@@ -20,7 +20,7 @@ func feed(s obs.Sink) {
 	s.SchedStep(obs.SchedStep{Iter: 2, Task: 2, Proc: 0, Start: 3, Finish: 6, HaveNonEP: true, NonEPTask: 2, NonEPLen: 1})
 	s.End(obs.End{Kind: obs.KindSchedule, Makespan: 6})
 
-	s.Begin(obs.Begin{Kind: obs.KindSimFaulty, Tasks: 3, Procs: 2})
+	s.Begin(obs.Begin{Kind: obs.KindSim, Tasks: 3, Procs: 2})
 	s.TaskStart(obs.TaskEvent{Task: 0, Proc: 0, Start: 0, Finish: 2})
 	s.TaskFinish(obs.TaskEvent{Task: 0, Proc: 0, Start: 0, Finish: 2})
 	s.Crash(obs.CrashEvent{Proc: 1, Time: 2.5})
@@ -34,14 +34,13 @@ func feed(s obs.Sink) {
 	s.MessageArrive(obs.Message{Edge: 1, From: 0, To: 2, FromProc: 0, ToProc: 0, Send: 2, Arrive: 5.5, Retries: 2, RetryDelay: 3.5})
 	s.MessageRetry(obs.Message{Edge: 1, From: 0, To: 2, FromProc: 0, ToProc: 0, Send: 2, Arrive: 5.5, Retries: 2, RetryDelay: 3.5})
 	s.TaskFinish(obs.TaskEvent{Task: 2, Proc: 0, Start: 5, Finish: 8.5})
-	s.End(obs.End{Kind: obs.KindSimFaulty, Makespan: 8.5})
+	s.End(obs.End{Kind: obs.KindSim, Makespan: 8.5})
 }
 
 func TestKindString(t *testing.T) {
 	want := map[obs.Kind]string{
 		obs.KindSchedule:     "schedule",
 		obs.KindSim:          "sim",
-		obs.KindSimFaulty:    "sim-faulty",
 		obs.KindSimContended: "sim-contended",
 		obs.KindRepair:       "repair",
 		obs.Kind(99):         "unknown",
@@ -171,7 +170,7 @@ func TestHist(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	m := obs.NewMetrics()
 	feed(m)
-	if m.Runs[obs.KindSchedule] != 1 || m.Runs[obs.KindSimFaulty] != 1 {
+	if m.Runs[obs.KindSchedule] != 1 || m.Runs[obs.KindSim] != 1 {
 		t.Errorf("Runs = %v", m.Runs)
 	}
 	if m.Steps != 3 || m.EPWins != 1 || m.NonEPWins != 2 || m.Ties != 1 || m.Demotions != 1 {

@@ -72,21 +72,21 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h 
 // (under the system's CommModel); messages become eligible when their
 // producer finishes and are served in eligibility order (ties broken by
 // edge index, deterministically). Task order and placement follow the
-// schedule; duplicated schedules are rejected like in Run.
+// schedule; duplicated schedules are rejected like in Run, and so is a
+// Network value outside the three models.
 //
 // With contention the makespan can only grow relative to Run's; the
-// returned Result reports the contended times.
-func RunContended(s *schedule.Schedule, net Network) (*Result, error) {
-	return RunContendedObserved(s, net, nil)
-}
-
-// RunContendedObserved is RunContended with an observer: sink, when
-// non-nil, receives the contended timeline — task spans, plus an
-// obs.MessageSend when a remote message wins its network resource and the
-// matching obs.MessageArrive at delivery — bracketed by
-// obs.KindSimContended Begin/End events. A nil sink adds nothing to
-// RunContended's cost.
-func RunContendedObserved(s *schedule.Schedule, net Network, sink obs.Sink) (*Result, error) {
+// returned Result reports the contended times. sink, when non-nil,
+// receives the contended timeline — task spans, plus an obs.MessageSend
+// when a remote message wins its network resource and the matching
+// obs.MessageArrive at delivery — bracketed by obs.KindSimContended
+// Begin/End events. A nil sink adds nothing to the run's cost.
+func RunContended(s *schedule.Schedule, net Network, sink obs.Sink) (*Result, error) {
+	switch net {
+	case SharedBus, PerLink, PerPort:
+	default:
+		return nil, fmt.Errorf("sim: unknown network model %v", net)
+	}
 	if !s.Complete() {
 		return nil, fmt.Errorf("sim: schedule is incomplete")
 	}
@@ -101,15 +101,12 @@ func RunContendedObserved(s *schedule.Schedule, net Network, sink obs.Sink) (*Re
 		e := g.Edge(ei)
 		from, to := s.Proc(e.From), s.Proc(e.To)
 		switch net {
-		case SharedBus:
-			return 0
 		case PerLink:
 			return from*sys.P + to
 		case PerPort:
 			return from
-		default:
-			return 0
 		}
+		return 0 // SharedBus: one global resource
 	}
 	resourceFree := map[int]float64{}
 

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"flb/internal/algo/registry"
 	"flb/internal/core"
 	"flb/internal/machine"
+	"flb/internal/obs"
 	"flb/internal/schedule"
 	"flb/internal/workload"
 )
@@ -20,12 +22,12 @@ func TestContendedNeverFasterThanContentionFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		free, err := Run(s, nil, nil)
+		free, err := runFree(s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, net := range []Network{SharedBus, PerLink, PerPort} {
-			res, err := RunContended(s, net)
+			res, err := RunContended(s, net, nil)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, net, err)
 			}
@@ -49,7 +51,7 @@ func TestContendedSingleProcessorUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunContended(s, SharedBus)
+	res, err := RunContended(s, SharedBus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +79,14 @@ func TestSharedBusSerializesFanout(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	free, err := Run(s, nil, nil)
+	free, err := runFree(s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if free.Makespan != 6 {
 		t.Fatalf("contention-free makespan = %v, want 6", free.Makespan)
 	}
-	bus, err := RunContended(s, SharedBus)
+	bus, err := RunContended(s, SharedBus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestSharedBusSerializesFanout(t *testing.T) {
 	}
 	// All three messages leave p0, so the sender-port model serializes
 	// exactly like the bus here.
-	port, err := RunContended(s, PerPort)
+	port, err := RunContended(s, PerPort, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestSharedBusSerializesFanout(t *testing.T) {
 	}
 	// A full crossbar restores the contention-free behaviour: each
 	// consumer has its own link.
-	link, err := RunContended(s, PerLink)
+	link, err := RunContended(s, PerLink, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +127,21 @@ func TestNetworkString(t *testing.T) {
 func TestRunContendedErrors(t *testing.T) {
 	g := workload.Chain(3)
 	s := schedule.New(g, machine.NewSystem(1))
-	if _, err := RunContended(s, SharedBus); err == nil {
+	if _, err := RunContended(s, SharedBus, nil); err == nil {
 		t.Error("incomplete schedule accepted")
+	}
+	// An unknown network model is an error that names the value, raised
+	// before any event: it must not run as some other model.
+	full, err := core.FLB{}.Schedule(g, machine.NewSystem(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	if _, err := RunContended(full, Network(7), rec); err == nil || !strings.Contains(err.Error(), "Network(7)") {
+		t.Errorf("unknown network: err = %v, want an error naming Network(7)", err)
+	}
+	if rec.Len() != 0 {
+		t.Errorf("unknown network emitted %d events, want 0", rec.Len())
 	}
 }
 
@@ -148,7 +163,7 @@ func TestExactSimulationAllAlgorithms(t *testing.T) {
 		if s.HasDuplicates() {
 			continue // self-timed semantics undefined for copies
 		}
-		res, err := Run(s, nil, nil)
+		res, err := runFree(s, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,7 +174,7 @@ func TestExactSimulationAllAlgorithms(t *testing.T) {
 			t.Errorf("%s: simulated %v exceeds planned %v", name, res.Makespan, s.Makespan())
 		}
 		// Contended execution is never faster than the free one.
-		cont, err := RunContended(s, PerLink)
+		cont, err := RunContended(s, PerLink, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -33,7 +33,8 @@ func DeriveSeed(seed int64, stream uint64) int64 {
 	return int64(z &^ (1 << 63))
 }
 
-// FaultResult is the outcome of one faulty execution.
+// FaultResult is the outcome of one Run. The fault bookkeeping stays zero
+// on a fault-free run, where Proc is the schedule's own placement.
 type FaultResult struct {
 	Result
 	// Proc is the processor each task finally executed on. A task that
@@ -56,11 +57,11 @@ type FaultResult struct {
 
 // RepairChooser picks the repairer for one crash. It sees the crash and
 // the number of stranded tasks and may return an error to abort the run
-// (flb.RunContext aborts on context cancellation). A nil chooser
-// defaults to the migrate-in-place repairer.
+// (flb.Execute under WithContext aborts on context cancellation). A nil
+// chooser defaults to the migrate-in-place repairer.
 type RepairChooser func(c fault.Crash, todo int) (fault.Repairer, error)
 
-// faultRun is the state of one RunFaulty execution: the drawn costs, the
+// faultRun is the state of one Run execution: the drawn costs, the
 // evolving plan (per-task processor and a global execution order over
 // pending tasks), and per-epoch scratch.
 type faultRun struct {
@@ -94,33 +95,42 @@ type faultRun struct {
 	sink obs.Sink
 }
 
-// RunFaulty executes schedule s like Run while injecting the failures
-// described by plan. Execution proceeds in epochs: tasks run self-timed
-// (Run's rules, plus per-fetch retry delays when messages are lossy)
-// until the next crash time; the crash kills its processor, revokes the
-// task it was running (and, with Plan.NoCheckpoint, every finished
-// output pending tasks still need from it), and the chooser's repairer
-// remaps the unexecuted suffix onto the survivors before execution
-// resumes. A fetch from a dead processor is served by the checkpoint
-// store at full remote cost.
+// Run executes schedule s self-timed: tasks run on their assigned
+// processors in the scheduled per-processor order (planned start time,
+// topological rank on ties), and each task starts when the previous task
+// on its processor has finished and all its messages have arrived. Actual
+// computation costs are comp(t) -> perturbComp(comp(t)) divided by the
+// executing processor's speed, and message delays comm ->
+// perturbComm(comm) under the system's CommModel (intra-processor
+// messages are free regardless of perturbation). Nil perturbations are
+// Exact: a fault-free exact run reproduces the start times of a list
+// schedule built by appending at EST.
+//
+// plan injects failures; its zero value is the fault-free run. Execution
+// proceeds in epochs: tasks run self-timed (plus per-fetch retry delays
+// when messages are lossy, drawn from lossSeed) until the next crash
+// time; the crash kills its processor, revokes the task it was running
+// (and, with Plan.NoCheckpoint, every finished output pending tasks
+// still need from it), and the chooser's repairer remaps the unexecuted
+// suffix onto the survivors before execution resumes. A fetch from a
+// dead processor is served by the checkpoint store at full remote cost.
+// A nil chooser repairs by migrating in place.
+//
+// sink, when non-nil, receives the execution timeline — per task its
+// span (obs.TaskStart) before the MessageSend/MessageArrive pair of every
+// charged fetch (with an obs.MessageRetry marker on lossy edges) and its
+// obs.TaskFinish — plus an obs.CrashEvent/obs.RepairEvent pair per
+// applied failure, bracketed by obs.KindSim Begin/End events.
+// Revoked-and-recomputed tasks appear once per execution. A nil sink adds
+// nothing to the run's cost; obs.RepairEvent.WallNanos is wall-clock and
+// therefore the one nondeterministic value in the stream.
 //
 // The run is deterministic: the same schedule, plan, perturbations and
-// lossSeed produce a byte-identical FaultResult. With a zero-value plan
-// the result embeds a Result bit-identical to Run with the same
-// perturbations. An error is returned if every processor crashes.
-func RunFaulty(s *schedule.Schedule, plan fault.Plan, perturbComp, perturbComm Perturb, lossSeed int64, choose RepairChooser) (*FaultResult, error) {
-	return RunFaultyObserved(s, plan, perturbComp, perturbComm, lossSeed, choose, nil)
-}
-
-// RunFaultyObserved is RunFaulty with an observer: sink, when non-nil,
-// receives the execution timeline (task spans, charged message fetches
-// with obs.MessageRetry markers on lossy edges), obs.CrashEvent /
-// obs.RepairEvent pairs per applied failure, bracketed by
-// obs.KindSimFaulty Begin/End events. Revoked-and-recomputed tasks appear
-// once per execution. A nil sink adds nothing to RunFaulty's cost; note
-// that obs.RepairEvent.WallNanos is wall-clock and therefore the one
-// nondeterministic value in the stream.
-func RunFaultyObserved(s *schedule.Schedule, plan fault.Plan, perturbComp, perturbComm Perturb, lossSeed int64, choose RepairChooser, sink obs.Sink) (*FaultResult, error) {
+// lossSeed produce a byte-identical FaultResult. Duplicated schedules are
+// rejected (the self-timed semantics of redundant copies are ambiguous),
+// as is a processor order that contradicts precedence. An error is
+// returned if every processor crashes.
+func Run(s *schedule.Schedule, plan fault.Plan, perturbComp, perturbComm Perturb, lossSeed int64, choose RepairChooser, sink obs.Sink) (*FaultResult, error) {
 	if !s.Complete() {
 		return nil, fmt.Errorf("sim: schedule is incomplete")
 	}
@@ -146,10 +156,10 @@ func RunFaultyObserved(s *schedule.Schedule, plan fault.Plan, perturbComp, pertu
 
 	fr := &faultRun{s: s, sys: sys, sink: sink}
 	if sink != nil {
-		sink.Begin(obs.Begin{Kind: obs.KindSimFaulty, Tasks: n, Procs: sys.P})
+		sink.Begin(obs.Begin{Kind: obs.KindSim, Tasks: n, Procs: sys.P})
 	}
 
-	// Actual costs, drawn once per task/edge in the same order as Run.
+	// Actual costs, drawn once per task/edge, in task and edge order.
 	fr.comp = make([]float64, n)
 	for t := 0; t < n; t++ {
 		fr.comp[t] = perturbComp(g.Comp(t))
@@ -187,13 +197,15 @@ func RunFaultyObserved(s *schedule.Schedule, plan fault.Plan, perturbComp, pertu
 
 	fr.topoPos = topoPositions(s)
 	fr.curProc = make([]machine.Proc, n)
-	fr.order = make([]int, n)
 	for t := 0; t < n; t++ {
 		fr.curProc[t] = s.Proc(t)
-		fr.order[t] = t
 	}
 	// Initial execution order: planned starts, topological rank on ties —
-	// its per-processor subsequences are exactly Run's chains.
+	// its per-processor subsequences are exactly the procChain chains. The
+	// comparator is a total order, so the sort's input order cannot change
+	// its output; placement order is already nearly sorted by start, which
+	// makes the sort cheap.
+	fr.order = append(make([]int, 0, n), s.PlacementOrder()...)
 	sort.Slice(fr.order, func(i, j int) bool {
 		ti, tj := fr.order[i], fr.order[j]
 		if s.Start(ti) != s.Start(tj) {
@@ -269,10 +281,10 @@ func RunFaultyObserved(s *schedule.Schedule, plan fault.Plan, perturbComp, pertu
 			res.Utilization[p] /= res.Makespan
 		}
 	}
-	res.Proc = append([]machine.Proc(nil), fr.curProc...)
+	res.Proc = fr.curProc
 	res.Survivors = fr.aliveN
 	if sink != nil {
-		sink.End(obs.End{Kind: obs.KindSimFaulty, Makespan: res.Makespan})
+		sink.End(obs.End{Kind: obs.KindSim, Makespan: res.Makespan})
 	}
 	return res, nil
 }
@@ -299,10 +311,15 @@ func (fr *faultRun) runEpoch(horizon float64) {
 		if fr.prevChain[t] >= 0 {
 			cnt++
 		}
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			if !fr.executed[g.Edge(ei).From] {
-				cnt++
+		if fr.done == 0 {
+			// Nothing has executed yet: every input is pending.
+			cnt += g.InDegree(t)
+		} else {
+			for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
+				ei := pe.At(k)
+				if !fr.executed[g.Edge(ei).From] {
+					cnt++
+				}
 			}
 		}
 		fr.pendingCnt[t] = cnt
@@ -347,7 +364,7 @@ func (fr *faultRun) runEpoch(horizon float64) {
 		fr.executed[t] = true
 		fr.done++
 		fr.res.Start[t] = start
-		// Speed divides the perturbed cost, matching the planner and Run.
+		// Speed divides the perturbed cost, matching the planner.
 		// revoke subtracts the identical quantum: curProc[t] only changes
 		// in repair, after any revocation of t's current execution.
 		exec := fr.sys.ExecTime(fr.comp[t], p)

@@ -15,7 +15,7 @@ import (
 )
 
 // reschedChooser returns a chooser running the FLB-criterion repairer,
-// with the arena shared across crashes like flb.SimulateFaulty does.
+// with the arena shared across crashes like flb.Execute does.
 func reschedChooser() RepairChooser {
 	re := core.NewRescheduler()
 	return func(fault.Crash, int) (fault.Repairer, error) { return re, nil }
@@ -34,10 +34,11 @@ func randomSchedule(t *testing.T, rng *rand.Rand, procs int) *schedule.Schedule 
 	return s
 }
 
-// TestZeroFaultBitIdentical: with a zero-value plan, RunFaulty must embed
-// a Result bit-identical to Run under the same perturbations — jittered
-// or exact. This is the acceptance bar that lets fault-sweep numbers be
-// compared against plain simulation numbers.
+// TestZeroFaultBitIdentical: with a zero-value plan, Run must embed a
+// Result bit-identical to the fault-free reference executor
+// (runReference) under the same perturbations — jittered or exact — and
+// report the schedule's own placement. This is the acceptance bar that
+// makes the zero plan the fault-free run.
 func TestZeroFaultBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -48,17 +49,22 @@ func TestZeroFaultBitIdentical(t *testing.T) {
 				UniformJitter(rand.New(rand.NewSource(DeriveSeed(seed, StreamComm))), 0.2)
 		}
 		pc, pm := jitter()
-		want, err := Run(s, pc, pm)
+		want, err := runReference(s, pc, pm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pc, pm = jitter()
-		got, err := RunFaulty(s, fault.Plan{}, pc, pm, DeriveSeed(seed, StreamLoss), reschedChooser())
+		got, err := Run(s, fault.Plan{}, pc, pm, DeriveSeed(seed, StreamLoss), reschedChooser(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Result, *want) {
-			t.Fatalf("trial %d: zero-fault RunFaulty differs from Run", trial)
+			t.Fatalf("trial %d: zero-fault Run differs from the reference", trial)
+		}
+		for tk, p := range got.Proc {
+			if p != s.Proc(tk) {
+				t.Fatalf("trial %d: task %d ran on %d, scheduled on %d", trial, tk, p, s.Proc(tk))
+			}
 		}
 		if got.Crashes != 0 || got.Reschedules != 0 || got.Recomputed != 0 || got.Retries != 0 {
 			t.Fatalf("trial %d: zero-fault run reports fault activity: %+v", trial, got)
@@ -88,7 +94,7 @@ func TestFaultyDeterministic(t *testing.T) {
 		run := func() *FaultResult {
 			pc := UniformJitter(rand.New(rand.NewSource(DeriveSeed(seed, StreamComp))), 0.2)
 			pm := UniformJitter(rand.New(rand.NewSource(DeriveSeed(seed, StreamComm))), 0.2)
-			res, err := RunFaulty(s, plan, pc, pm, DeriveSeed(seed, StreamLoss), reschedChooser())
+			res, err := Run(s, plan, pc, pm, DeriveSeed(seed, StreamLoss), reschedChooser(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +149,7 @@ func TestFaultScenariosYieldValidSchedules(t *testing.T) {
 		if trial%2 == 0 {
 			choose = reschedChooser()
 		} // odd trials: nil chooser = migrate repair
-		res, err := RunFaulty(s, plan, nil, nil, 0, choose)
+		res, err := Run(s, plan, nil, nil, 0, choose, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +217,7 @@ func TestColdCrashEqualsFLBOnSurvivors(t *testing.T) {
 		s := randomSchedule(t, rng, procs)
 		dead := rng.Intn(procs)
 		plan := fault.Plan{Crashes: []fault.Crash{{Proc: dead, Time: 0}}}
-		res, err := RunFaulty(s, plan, nil, nil, 0, reschedChooser())
+		res, err := Run(s, plan, nil, nil, 0, reschedChooser(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +225,7 @@ func TestColdCrashEqualsFLBOnSurvivors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subRes, err := Run(sub, nil, nil)
+		subRes, err := runFree(sub, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +257,7 @@ func TestLostOutputsRecomputed(t *testing.T) {
 		Crashes:      []fault.Crash{{Proc: 0, Time: g.Comp(0) + g.Comp(1)/2}},
 		NoCheckpoint: true,
 	}
-	res, err := RunFaulty(s, crash, nil, nil, 0, reschedChooser())
+	res, err := Run(s, crash, nil, nil, 0, reschedChooser(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +276,7 @@ func TestLostOutputsRecomputed(t *testing.T) {
 	// in-flight task 1 is recomputed, and the checkpoint fetch costs the
 	// full remote delay.
 	crash.NoCheckpoint = false
-	res, err = RunFaulty(s, crash, nil, nil, 0, reschedChooser())
+	res, err = Run(s, crash, nil, nil, 0, reschedChooser(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +297,7 @@ func TestRetryDelaysBounded(t *testing.T) {
 	s := schedule.New(g, sys)
 	s.Place(0, 0, 0)
 	s.Place(1, 1, g.Comp(0)+1) // cross-processor: the fetch can be lost
-	exact, err := Run(s, nil, nil)
+	exact, err := runFree(s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +307,7 @@ func TestRetryDelaysBounded(t *testing.T) {
 	}
 	sawDelay := false
 	for seed := int64(0); seed < 20; seed++ {
-		res, err := RunFaulty(s, plan, nil, nil, seed, nil)
+		res, err := Run(s, plan, nil, nil, seed, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +340,7 @@ func TestAllProcessorsCrashed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomSchedule(t, rng, 2)
 	plan := fault.Plan{Crashes: []fault.Crash{{Proc: 0, Time: 0}, {Proc: 1, Time: 0}}}
-	_, err := RunFaulty(s, plan, nil, nil, 0, reschedChooser())
+	_, err := Run(s, plan, nil, nil, 0, reschedChooser(), nil)
 	if err == nil || !strings.Contains(err.Error(), "crashed") {
 		t.Fatalf("err = %v, want all-crashed error", err)
 	}
@@ -345,16 +351,16 @@ func TestAllProcessorsCrashed(t *testing.T) {
 func TestCrashAfterCompletion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randomSchedule(t, rng, 3)
-	res, err := RunFaulty(s, fault.Plan{
+	res, err := Run(s, fault.Plan{
 		Crashes: []fault.Crash{{Proc: 1, Time: s.Makespan() * 10}},
-	}, nil, nil, 0, reschedChooser())
+	}, nil, nil, 0, reschedChooser(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Crashes != 1 || res.Survivors != 2 || res.Reschedules != 0 {
 		t.Fatalf("crashes %d survivors %d rescheds %d, want 1/2/0", res.Crashes, res.Survivors, res.Reschedules)
 	}
-	exact, err := Run(s, nil, nil)
+	exact, err := runFree(s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

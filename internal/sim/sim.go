@@ -10,15 +10,19 @@
 // message arrivals. It answers the question the paper's evaluation leaves
 // open — how robust are the produced schedules to misestimation? — and is
 // used by the robustness experiment in internal/bench.
+//
+// The package has one self-timed engine, Run, which also injects
+// failures (fault.Plan); a zero plan is the fault-free execution.
+// RunContended is the one other engine: it serializes remote messages on
+// network resources, which needs a global event-time order rather than
+// Run's walk over tasks in dependency order.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
-	"flb/internal/obs"
 	"flb/internal/schedule"
 )
 
@@ -90,172 +94,4 @@ type Result struct {
 	// Utilization is the fraction of the makespan each processor spent
 	// computing.
 	Utilization []float64
-}
-
-// Run executes schedule s: tasks run on their assigned processors in the
-// scheduled per-processor order; each task starts when the previous task
-// on its processor has finished and all its messages have arrived, with
-// actual computation costs comp(t) -> perturbComp(comp(t)) and message
-// delays comm -> perturbComm(comm) (zero stays zero: intra-processor
-// messages are free regardless of perturbation).
-//
-// The simulation is a longest-path computation over the union of the
-// precedence edges and the per-processor chains, evaluated in a combined
-// topological order. Deadlock is impossible: the scheduled order is a
-// linear extension of the precedence order (guaranteed by the list
-// schedulers; validated here, returning an error otherwise).
-func Run(s *schedule.Schedule, perturbComp, perturbComm Perturb) (*Result, error) {
-	return RunObserved(s, perturbComp, perturbComm, nil)
-}
-
-// RunObserved is Run with an observer: sink, when non-nil, receives the
-// execution timeline (obs.TaskStart/obs.TaskFinish per task, an
-// obs.MessageSend/obs.MessageArrive pair per inter-processor message)
-// bracketed by obs.KindSim Begin/End events. A nil sink adds nothing to
-// Run's cost.
-func RunObserved(s *schedule.Schedule, perturbComp, perturbComm Perturb, sink obs.Sink) (*Result, error) {
-	if !s.Complete() {
-		return nil, fmt.Errorf("sim: schedule is incomplete")
-	}
-	if s.HasDuplicates() {
-		return nil, fmt.Errorf("sim: duplicated schedules are not supported (self-timed semantics of redundant copies are ambiguous)")
-	}
-	if perturbComp == nil {
-		perturbComp = Exact()
-	}
-	if perturbComm == nil {
-		perturbComm = Exact()
-	}
-	g := s.Graph()
-	sys := s.System()
-	n := g.NumTasks()
-
-	// Actual costs, drawn once per task/edge.
-	comp := make([]float64, n)
-	for t := 0; t < n; t++ {
-		comp[t] = perturbComp(g.Comp(t))
-		if comp[t] < 0 || math.IsNaN(comp[t]) {
-			return nil, fmt.Errorf("sim: perturbed comp(%d) = %v", t, comp[t])
-		}
-	}
-	comm := make([]float64, g.NumEdges())
-	for i := range comm {
-		comm[i] = perturbComm(g.Edge(i).Comm)
-		if comm[i] < 0 || math.IsNaN(comm[i]) {
-			return nil, fmt.Errorf("sim: perturbed comm(%d) = %v", i, comm[i])
-		}
-	}
-
-	// Dependency counting over precedence edges + processor-chain edges.
-	pending := make([]int, n)
-	prevOnProc := make([]int, n) // predecessor in the processor chain, -1
-	nextOnProc := make([]int, n) // successor in the processor chain, -1
-	for t := range prevOnProc {
-		prevOnProc[t] = -1
-		nextOnProc[t] = -1
-		pending[t] = g.InDegree(t)
-	}
-	pos := topoPositions(s)
-	for p := 0; p < sys.P; p++ {
-		tasks := procChain(s, p, pos)
-		for i := 1; i < len(tasks); i++ {
-			prevOnProc[tasks[i]] = tasks[i-1]
-			nextOnProc[tasks[i-1]] = tasks[i]
-			pending[tasks[i]]++
-		}
-	}
-
-	if sink != nil {
-		sink.Begin(obs.Begin{Kind: obs.KindSim, Tasks: n, Procs: sys.P})
-	}
-	res := &Result{
-		Start:       make([]float64, n),
-		Finish:      make([]float64, n),
-		Utilization: make([]float64, sys.P),
-	}
-	queue := make([]int, 0, n)
-	for t := 0; t < n; t++ {
-		if pending[t] == 0 {
-			queue = append(queue, t)
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		done++
-		start := 0.0
-		if pt := prevOnProc[t]; pt >= 0 {
-			start = res.Finish[pt]
-		}
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e := g.Edge(ei)
-			arrive := res.Finish[e.From]
-			if s.Proc(e.From) != s.Proc(t) {
-				arrive += sys.CommCost(comm[ei], s.Proc(e.From), s.Proc(t))
-			}
-			if arrive > start {
-				start = arrive
-			}
-		}
-		res.Start[t] = start
-		// Perturbation draws on the estimated weight; the speed factor of
-		// the executing processor divides the perturbed cost, exactly as
-		// the planner divided the estimate (machine.System.ExecTime).
-		exec := sys.ExecTime(comp[t], s.Proc(t))
-		res.Finish[t] = start + exec
-		if res.Finish[t] > res.Makespan {
-			res.Makespan = res.Finish[t]
-		}
-		res.Utilization[s.Proc(t)] += exec
-		if sink != nil {
-			span := obs.TaskEvent{Task: t, Proc: int(s.Proc(t)), Start: start, Finish: res.Finish[t]}
-			sink.TaskStart(span)
-			for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-				ei := pe.At(k)
-				e := g.Edge(ei)
-				if s.Proc(e.From) == s.Proc(t) {
-					continue
-				}
-				send := res.Finish[e.From]
-				m := obs.Message{
-					Edge: ei, From: e.From, To: t,
-					FromProc: int(s.Proc(e.From)), ToProc: int(s.Proc(t)),
-					Send: send, Arrive: send + sys.CommCost(comm[ei], s.Proc(e.From), s.Proc(t)),
-				}
-				sink.MessageSend(m)
-				sink.MessageArrive(m)
-			}
-			sink.TaskFinish(span)
-		}
-		// Release dependents: precedence successors and the next task in
-		// the processor chain.
-		for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-			ei := se.At(k)
-			to := g.Edge(ei).To
-			pending[to]--
-			if pending[to] == 0 {
-				queue = append(queue, to)
-			}
-		}
-		if nt := nextOnProc[t]; nt >= 0 {
-			pending[nt]--
-			if pending[nt] == 0 {
-				queue = append(queue, nt)
-			}
-		}
-	}
-	if done != n {
-		return nil, fmt.Errorf("sim: deadlock — processor order conflicts with precedence (%d of %d tasks ran)", done, n)
-	}
-	if res.Makespan > 0 {
-		for p := range res.Utilization {
-			res.Utilization[p] /= res.Makespan
-		}
-	}
-	if sink != nil {
-		sink.End(obs.End{Kind: obs.KindSim, Makespan: res.Makespan})
-	}
-	return res, nil
 }

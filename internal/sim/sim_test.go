@@ -6,10 +6,17 @@ import (
 	"testing"
 
 	"flb/internal/core"
+	"flb/internal/fault"
 	"flb/internal/machine"
 	"flb/internal/schedule"
 	"flb/internal/workload"
 )
+
+// runFree executes s on the engine with a zero fault plan — the
+// fault-free run — and no observer.
+func runFree(s *schedule.Schedule, perturbComp, perturbComm Perturb) (*FaultResult, error) {
+	return Run(s, fault.Plan{}, perturbComp, perturbComm, 0, nil, nil)
+}
 
 // TestExactReproducesScheduleTimes: self-timed execution with exact costs
 // must give every task the schedule's own start time... or earlier. For
@@ -23,7 +30,7 @@ func TestExactReproducesScheduleTimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s, nil, nil)
+		res, err := runFree(s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +53,7 @@ func TestPaperExampleSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(s, nil, nil)
+	res, err := runFree(s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +78,14 @@ func TestJitterBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Run(s, nil, nil)
+	exact, err := runFree(s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	const eps = 0.3
 	for trial := 0; trial < 20; trial++ {
-		res, err := Run(s, UniformJitter(rng, eps), UniformJitter(rng, eps))
+		res, err := runFree(s, UniformJitter(rng, eps), UniformJitter(rng, eps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +117,7 @@ func TestPrecedenceRespectedUnderJitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(s, UniformJitter(rng, 0.5), UniformJitter(rng, 0.5))
+	res, err := runFree(s, UniformJitter(rng, 0.5), UniformJitter(rng, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +135,14 @@ func TestPrecedenceRespectedUnderJitter(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	g := workload.Chain(3)
 	s := schedule.New(g, machine.NewSystem(1))
-	if _, err := Run(s, nil, nil); err == nil {
+	if _, err := runFree(s, nil, nil); err == nil {
 		t.Error("incomplete schedule accepted")
 	}
 	full, _ := core.FLB{}.Schedule(g, machine.NewSystem(1))
-	if _, err := Run(full, func(float64) float64 { return -1 }, nil); err == nil {
+	if _, err := runFree(full, func(float64) float64 { return -1 }, nil); err == nil {
 		t.Error("negative perturbed comp accepted")
 	}
-	if _, err := Run(full, nil, func(float64) float64 { return math.NaN() }); err == nil {
+	if _, err := runFree(full, nil, func(float64) float64 { return math.NaN() }); err == nil {
 		t.Error("NaN perturbed comm accepted")
 	}
 }
@@ -147,7 +154,7 @@ func TestDeadlockDetection(t *testing.T) {
 	s := schedule.New(g, machine.NewSystem(1))
 	s.Place(1, 0, 0) // child first on the only processor
 	s.Place(0, 0, 1)
-	if _, err := Run(s, nil, nil); err == nil {
+	if _, err := runFree(s, nil, nil); err == nil {
 		t.Error("precedence-violating order not detected")
 	}
 }

@@ -162,7 +162,7 @@ func (s *Server) MetricsSnapshot() Snapshot {
 	snap.Service.QueueWaitMs = s.queueMs.quantiles()
 	snap.Sched = SchedStats{
 		ScheduleRuns: s.met.Runs[obs.KindSchedule],
-		ExecRuns:     s.met.Runs[obs.KindSim] + s.met.Runs[obs.KindSimFaulty],
+		ExecRuns:     s.met.Runs[obs.KindSim],
 		RepairRuns:   s.met.Runs[obs.KindRepair],
 		Steps:        s.met.Steps,
 		EPWins:       s.met.EPWins,

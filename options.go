@@ -53,7 +53,8 @@ func NewChromeTrace(w io.Writer) *ChromeTrace { return obs.NewChromeTrace(w) }
 func NewTelemetry() *Telemetry { return obs.NewMetrics() }
 
 // NewStepRecorder returns an observer appending one Step per scheduling
-// decision to *steps — the event-stream implementation of Trace.
+// decision to *steps — the rows of the paper's Table 1 (render them with
+// FormatTrace).
 func NewStepRecorder(steps *[]Step) *StepRecorder { return core.NewStepRecorder(steps) }
 
 // TeeObservers fans the event stream out to a then b; nil arguments are
@@ -74,7 +75,6 @@ type Options struct {
 	epsComp   float64
 	epsComm   float64
 	plan      FaultPlan
-	faulty    bool
 	observer  Observer
 	ctx       context.Context
 	workers   int
@@ -110,16 +110,6 @@ func (o *Options) system() System {
 		return o.sys
 	}
 	return machine.NewSystem(1)
-}
-
-// prependOption builds first followed by opts without mutating opts, so
-// a caller-supplied option (applied later) overrides first. It is how
-// the deprecated positional entry points funnel into the option-driven
-// ones.
-func prependOption(first Option, opts []Option) []Option {
-	out := make([]Option, 0, len(opts)+1)
-	out = append(out, first)
-	return append(out, opts...)
 }
 
 // WithSystem sets the target machine of Run and RunBatch: processor
@@ -160,14 +150,14 @@ func WithJitter(epsComp, epsComm float64) Option {
 
 // WithFaults makes Execute inject the failures described by plan:
 // fail-stop crashes, lossy messages, and the plan's repair strategy after
-// every crash. A zero plan still takes the fault-capable engine, which is
-// bit-identical to the fault-free one.
+// every crash. Execute has one engine, and the zero plan — the default —
+// is its fault-free run, so WithFaults(FaultPlan{}) changes nothing.
 func WithFaults(plan FaultPlan) Option {
-	return func(o *Options) { o.plan, o.faulty = plan, true }
+	return func(o *Options) { o.plan = plan }
 }
 
 // WithObserver streams the run's events into s: scheduler decisions from
-// Run/RunOn (FLB only), the execution timeline, messages, crashes and
+// Run (FLB only), the execution timeline, messages, crashes and
 // repairs from Execute. A nil observer disables observability — the
 // zero-overhead default.
 func WithObserver(s Observer) Option {
@@ -212,39 +202,14 @@ func WithContext(ctx context.Context) Option {
 //		flb.WithAlgorithm("mcp"), flb.WithSeed(7))
 func Run(g *Graph, opts ...Option) (*Schedule, error) {
 	o := buildOptions(opts)
-	return runOptions(g, &o)
-}
-
-// RunProcs schedules g on p homogeneous processors (the paper's clique
-// model).
-//
-// Deprecated: RunProcs is the positional form Run had before the machine
-// became an option. Use Run(g, WithSystem(NewSystem(p)), opts...); the
-// wrapper is pinned bit-identical to it.
-func RunProcs(g *Graph, p int, opts ...Option) (*Schedule, error) {
-	return Run(g, prependOption(WithSystem(machine.NewSystem(p)), opts)...)
-}
-
-// RunOn schedules g on an explicit system.
-//
-// Deprecated: RunOn is the positional form. Use
-// Run(g, WithSystem(sys), opts...); the wrapper is pinned bit-identical
-// to it. A WithSystem among opts overrides sys, exactly as if it
-// followed an earlier WithSystem.
-func RunOn(g *Graph, sys System, opts ...Option) (*Schedule, error) {
-	return Run(g, prependOption(WithSystem(sys), opts)...)
-}
-
-// runOptions dispatches a single scheduling run under built options: the
-// FLB fast path (optionally memoized via WithCache), or a registry
-// algorithm by name.
-func runOptions(g *Graph, o *Options) (*Schedule, error) {
 	sys := o.system()
+	// The FLB fast path (optionally memoized via WithCache), or a registry
+	// algorithm by name.
 	if o.algorithm == "" || strings.EqualFold(o.algorithm, "flb") {
 		if o.cache == nil {
-			return runFLB(g, sys, o)
+			return runFLB(g, sys, &o)
 		}
-		return runCached(g, sys, o)
+		return runCached(g, sys, &o)
 	}
 	a, err := NewAlgorithm(o.algorithm, o.seed)
 	if err != nil {
@@ -292,8 +257,10 @@ func runCached(g *Graph, sys System, o *Options) (*Schedule, error) {
 	return s, nil
 }
 
-// ExecResult is the outcome of an Execute run. The fault bookkeeping
-// (Crashes, Reschedules, Retries, ...) stays zero on fault-free runs.
+// ExecResult is the outcome of an Execute run: the simulated times (the
+// embedded SimResult), the processor each task finally ran on, and the
+// fault bookkeeping (Crashes, Reschedules, Retries, ...), which stays
+// zero on a fault-free run — the zero-plan run of the one engine.
 type ExecResult = sim.FaultResult
 
 // Execute runs schedule s self-timed: placement and per-processor order
@@ -305,8 +272,10 @@ type ExecResult = sim.FaultResult
 //	r, err := flb.Execute(s, flb.WithJitter(0.3, 0.3), flb.WithSeed(7))
 //
 // Without jitter and faults it reproduces the schedule's own start times
-// exactly. The run is deterministic in (s, options); only wall-clock
-// observations (WithContext decisions, RepairEvent.WallNanos) vary.
+// exactly. One engine runs every Execute: without WithFaults it runs the
+// zero plan, which is the fault-free execution. The run is deterministic
+// in (s, options); only wall-clock observations (WithContext decisions,
+// RepairEvent.WallNanos) vary.
 func Execute(s *Schedule, opts ...Option) (*ExecResult, error) {
 	o := buildOptions(opts)
 	return executeOne(s, &o, o.observer, nil)
@@ -318,20 +287,6 @@ func Execute(s *Schedule, opts ...Option) (*ExecResult, error) {
 // fresh one, which produces bit-identical repairs (reschedule arenas are
 // history-independent).
 func executeOne(s *Schedule, o *Options, sink Observer, re *core.Rescheduler) (*ExecResult, error) {
-	pc := jitterStream(o.seed, sim.StreamComp, o.epsComp)
-	pm := jitterStream(o.seed, sim.StreamComm, o.epsComm)
-	if !o.faulty && o.ctx == nil {
-		r, err := sim.RunObserved(s, pc, pm, sink)
-		if err != nil {
-			return nil, err
-		}
-		er := &ExecResult{Result: *r, Survivors: s.System().P}
-		er.Proc = make([]machine.Proc, s.Graph().NumTasks())
-		for t := range er.Proc {
-			er.Proc[t] = s.Proc(t)
-		}
-		return er, nil
-	}
 	var choose sim.RepairChooser
 	if o.ctx != nil {
 		var err error
@@ -341,13 +296,15 @@ func executeOne(s *Schedule, o *Options, sink Observer, re *core.Rescheduler) (*
 	} else {
 		choose = fixedChooser(o.plan.Repair, re)
 	}
-	return sim.RunFaultyObserved(s, o.plan, pc, pm,
+	return sim.Run(s, o.plan,
+		jitterStream(o.seed, sim.StreamComp, o.epsComp),
+		jitterStream(o.seed, sim.StreamComm, o.epsComm),
 		sim.DeriveSeed(o.seed, sim.StreamLoss), choose, sink)
 }
 
-// deadlineChooser builds the graceful-degradation chooser of WithContext
-// (and the deprecated RunContext): full FLB reschedules while the
-// deadline has room, migrate-in-place after. A nil re builds a private
+// deadlineChooser builds the graceful-degradation chooser of WithContext:
+// full FLB reschedules while the deadline has room, migrate-in-place
+// after. A nil re builds a private
 // reschedule arena.
 //
 //flb:wallclock compares real repair cost against the context deadline to pick the degradation mode

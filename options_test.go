@@ -7,7 +7,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"flb"
 )
@@ -26,135 +25,9 @@ func sameSchedule(t *testing.T, a, b *flb.Schedule) {
 	}
 }
 
-// TestDeprecatedWrappersBitIdentical is the API-redesign acceptance
-// check: every deprecated positional entry point must produce results bit
-// for bit identical to its Options-based replacement.
-func TestDeprecatedWrappersBitIdentical(t *testing.T) {
-	g := flb.PaperExample()
-
-	// RunWith(name, ...) ≡ Run(WithAlgorithm, WithSeed).
-	for _, name := range flb.Algorithms() {
-		old, err := flb.RunWith(name, g, 2, 7)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		now, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)), flb.WithAlgorithm(name), flb.WithSeed(7))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sameSchedule(t, old, now)
-	}
-
-	// RunProcs(g, p, ...) ≡ Run(WithSystem(NewSystem(p)), ...), and
-	// RunOn(g, sys, ...) ≡ Run(WithSystem(sys), ...) — the positional
-	// machine arguments of the pre-redesign entry points.
-	canonical, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)), flb.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaProcs, err := flb.RunProcs(g, 2, flb.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSchedule(t, canonical, viaProcs)
-	viaOn, err := flb.RunOn(g, flb.NewSystem(2), flb.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSchedule(t, canonical, viaOn)
-
-	// RunBatchProcs / RunBatchOn ≡ RunBatch(WithSystem(...)).
-	gs := []*flb.Graph{g, flb.LU(4)}
-	wantBatch, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotProcs, err := flb.RunBatchProcs(gs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOn, err := flb.RunBatchOn(gs, flb.NewSystem(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range gs {
-		sameSchedule(t, wantBatch[i], gotProcs[i])
-		sameSchedule(t, wantBatch[i], gotOn[i])
-	}
-
-	// Trace ≡ Run(WithObserver(NewStepRecorder)).
-	oldSteps, oldSched, err := flb.Trace(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps []flb.Step
-	newSched, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)), flb.WithObserver(flb.NewStepRecorder(&steps)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldSteps, steps) {
-		t.Errorf("Trace steps diverge:\n%+v\n%+v", oldSteps, steps)
-	}
-	sameSchedule(t, oldSched, newSched)
-
-	s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate ≡ Execute(WithJitter, WithSeed).Result.
-	for _, eps := range []float64{0, 0.3} {
-		old, err := flb.Simulate(s, eps, eps, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		er, err := flb.Execute(s, flb.WithJitter(eps, eps), flb.WithSeed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*old, er.Result) {
-			t.Errorf("eps=%g: Simulate result diverges:\n%+v\n%+v", eps, *old, er.Result)
-		}
-	}
-
-	// SimulateFaulty ≡ Execute(WithFaults, WithJitter, WithSeed).
-	plan := flb.FaultPlan{
-		Crashes: []flb.Crash{{Proc: 1, Time: 5}},
-		Repair:  flb.RepairReschedule,
-	}
-	oldF, err := flb.SimulateFaulty(s, plan, 0.2, 0.2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newF, err := flb.Execute(s, flb.WithFaults(plan), flb.WithJitter(0.2, 0.2), flb.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldF, newF) {
-		t.Errorf("SimulateFaulty result diverges:\n%+v\n%+v", oldF, newF)
-	}
-
-	// RunContext ≡ Execute(WithContext, ...). With a generous deadline
-	// every repair takes the full-reschedule branch on both sides, so the
-	// simulated results agree despite the wall-clock chooser.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	oldC, err := flb.RunContext(ctx, s, plan, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newC, err := flb.Execute(s, flb.WithContext(ctx), flb.WithFaults(plan), flb.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldC, newC) {
-		t.Errorf("RunContext result diverges:\n%+v\n%+v", oldC, newC)
-	}
-}
-
-// TestExecuteFaultFreeMatchesFaulty: the zero-value fault plan takes the
-// fault-capable engine yet reproduces the fault-free path bit for bit, so
-// WithFaults(zero) is safe to compose unconditionally.
+// TestExecuteFaultFreeMatchesFaulty: Execute without WithFaults and with
+// WithFaults(zero plan) are bit-identical, so WithFaults(zero) is safe to
+// compose unconditionally.
 func TestExecuteFaultFreeMatchesFaulty(t *testing.T) {
 	s, err := flb.Run(flb.PaperExample(), flb.WithSystem(flb.NewSystem(2)))
 	if err != nil {
@@ -270,13 +143,14 @@ func TestWithSeedDefault(t *testing.T) {
 	}
 }
 
-// TestRunOnWithObserver: the explicit-system entry point honors options
-// too, including the FLB name spelled with different casing.
+// TestRunOnWithObserver: Run on an explicit system honors the observer
+// with the FLB name spelled in a different casing, and rejects an unknown
+// algorithm.
 func TestRunOnWithObserver(t *testing.T) {
 	g := flb.PaperExample()
 	sys := flb.NewSystem(2)
 	var steps []flb.Step
-	s, err := flb.RunOn(g, sys, flb.WithAlgorithm("FLB"), flb.WithObserver(flb.NewStepRecorder(&steps)))
+	s, err := flb.Run(g, flb.WithSystem(sys), flb.WithAlgorithm("FLB"), flb.WithObserver(flb.NewStepRecorder(&steps)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +160,13 @@ func TestRunOnWithObserver(t *testing.T) {
 	if s.Makespan() != 14 {
 		t.Errorf("makespan = %g", s.Makespan())
 	}
-	if _, err := flb.RunOn(g, sys, flb.WithAlgorithm("bogus")); err == nil {
+	if _, err := flb.Run(g, flb.WithSystem(sys), flb.WithAlgorithm("bogus")); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
 
-// TestWithSystemSemantics pins the option-resolution rules of the
-// redesigned entry points: the default machine is one processor, the
-// last WithSystem wins, and a WithSystem among a deprecated wrapper's
-// options overrides the wrapper's positional system.
+// TestWithSystemSemantics pins the option-resolution rules of Run: the
+// default machine is one processor, and the last WithSystem wins.
 func TestWithSystemSemantics(t *testing.T) {
 	g := flb.PaperExample()
 
@@ -317,19 +189,6 @@ func TestWithSystemSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSchedule(t, want, two)
-
-	// A WithSystem passed through a deprecated positional wrapper
-	// overrides the wrapper's own system argument.
-	over, err := flb.RunOn(g, flb.NewSystem(4), flb.WithSystem(flb.NewSystem(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSchedule(t, want, over)
-	overP, err := flb.RunProcs(g, 4, flb.WithSystem(flb.NewSystem(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSchedule(t, want, overP)
 }
 
 // TestNewSystemOptions covers the system construction options: WithComm
