@@ -60,8 +60,12 @@ cache:
 hetero:
 	$(GO) run ./cmd/flbbench -exp hetero
 
+# Facade benchmarks, plus the two that walk CSR edge windows hardest:
+# the memo fingerprint and FLB placement on LU at V≈2000.
 bench:
 	$(GO) test -run '^$$' -bench 'Fig2|Scaling|Execute' -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkKeyOf$$' -benchmem ./internal/memo
+	$(GO) test -run '^$$' -bench '^BenchmarkFLB_LU2000_P32$$' -benchmem ./internal/core
 
 # Million-task scale sweep, CI-quick configuration (10^5-task instances):
 # streaming build + compact-CSR footprint against the committed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 
+	"flb/internal/algo/registry"
 	"flb/internal/memo"
 	"flb/internal/obs"
 	"flb/internal/par"
@@ -89,7 +90,7 @@ func RunBatch(graphs []*Graph, opts ...Option) ([]*Schedule, error) {
 			}
 			return nil
 		}
-		a, err := w.Algorithm(o.algorithm, o.seed)
+		a, err := registry.New(o.algorithm, o.seed)
 		if err != nil {
 			return err
 		}

@@ -102,9 +102,8 @@ func (rt *ReadyTracker) Initial() []int { return rt.g.EntryTasks() }
 //flb:hotpath
 func (rt *ReadyTracker) Complete(t int) []int {
 	rt.newly = rt.newly[:0]
-	for k, se := 0, rt.g.SuccEdges(t); k < se.Len(); k++ {
-		ei := se.At(k)
-		to := rt.g.Edge(ei).To
+	for _, ei := range rt.g.SuccEdges(t) {
+		to := rt.g.Edge(int(ei)).To
 		rt.pending[to]--
 		if rt.pending[to] == 0 {
 			rt.newly = append(rt.newly, to)

@@ -118,9 +118,8 @@ func FromAssignment(g *graph.Graph, assign []int) *Clustering {
 			break
 		}
 		start := avail[cl[t]]
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e := g.Edge(ei)
+		for _, ei := range g.PredEdges(t) {
+			e := g.Edge(int(ei))
 			a := c.Finish[e.From]
 			if cl[e.From] != cl[t] {
 				a += e.Comm
@@ -133,9 +132,8 @@ func FromAssignment(g *graph.Graph, assign []int) *Clustering {
 		c.Finish[t] = start + g.Comp(t)
 		avail[cl[t]] = c.Finish[t]
 		c.Clusters[cl[t]] = append(c.Clusters[cl[t]], t)
-		for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-			ei := se.At(k)
-			to := g.Edge(ei).To
+		for _, ei := range g.SuccEdges(t) {
+			to := g.Edge(int(ei)).To
 			pendingPreds[to]--
 			if pendingPreds[to] == 0 {
 				ready.Push(to, pq.Key{Primary: -bl[to]})

@@ -50,9 +50,8 @@ func Run(g *graph.Graph) (*cluster.Clustering, error) {
 	lmt := make([]float64, n) // last message arrival (new-cluster start)
 	push := func(t int) {
 		lmt[t] = 0
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e := g.Edge(ei)
+		for _, ei := range g.PredEdges(t) {
+			e := g.Edge(int(ei))
 			if a := c.Finish[e.From] + e.Comm; a > lmt[t] {
 				lmt[t] = a
 			}
@@ -75,17 +74,15 @@ func Run(g *graph.Graph) (*cluster.Clustering, error) {
 		// guarantees the start time never exceeds the unmerged arrival).
 		bestCluster, bestStart := -1, lmt[t]
 		tried := map[int]bool{}
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			cl := c.Cluster[g.Edge(ei).From]
+		for _, ei := range g.PredEdges(t) {
+			cl := c.Cluster[g.Edge(int(ei)).From]
 			if tried[cl] {
 				continue
 			}
 			tried[cl] = true
 			st := avail[cl]
-			for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-				ej := pe.At(k)
-				e := g.Edge(ej)
+			for _, ej := range g.PredEdges(t) {
+				e := g.Edge(int(ej))
 				a := c.Finish[e.From]
 				if c.Cluster[e.From] != cl {
 					a += e.Comm

@@ -97,9 +97,8 @@ func (d DSH) planOn(g *graph.Graph, s *schedule.Schedule, t int, p machine.Proc)
 	}
 	dataReady := func() float64 {
 		var r float64
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			if a := arrival(g.Edge(ei)); a > r {
+		for _, ei := range g.PredEdges(t) {
+			if a := arrival(g.Edge(int(ei))); a > r {
 				r = a
 			}
 		}
@@ -127,9 +126,8 @@ func (d DSH) planOn(g *graph.Graph, s *schedule.Schedule, t int, p machine.Proc)
 		}
 		// Critical parent: the predecessor whose message arrives last.
 		parent, parentArrival := -1, -1.0
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e := g.Edge(ei)
+		for _, ei := range g.PredEdges(t) {
+			e := g.Edge(int(ei))
 			if a := arrival(e); a > parentArrival {
 				parentArrival, parent = a, e.From
 			}

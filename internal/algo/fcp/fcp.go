@@ -104,9 +104,8 @@ func (f FCP) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, e
 func enablingProc(g *graph.Graph, s *schedule.Schedule, sys machine.System, t int) machine.Proc {
 	ep := machine.Proc(-1)
 	last := math.Inf(-1)
-	for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-		ei := pe.At(k)
-		e := g.Edge(ei)
+	for _, ei := range g.PredEdges(t) {
+		e := g.Edge(int(ei))
 		arrive := s.Finish(e.From) + sys.RemoteCost(e.Comm)
 		p := s.Proc(e.From)
 		//flb:exact arrival ties compare bit-identical finish+comm sums, as in FLB's classifyReady

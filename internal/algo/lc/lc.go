@@ -50,9 +50,8 @@ func Run(g *graph.Graph) (*cluster.Clustering, error) {
 			if dist[t] > bestLen {
 				bestEnd, bestLen = t, dist[t]
 			}
-			for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-				ei := se.At(k)
-				e := g.Edge(ei)
+			for _, ei := range g.SuccEdges(t) {
+				e := g.Edge(int(ei))
 				if assign[e.To] >= 0 {
 					continue
 				}

@@ -113,14 +113,12 @@ func Solve(g *graph.Graph, sys machine.System, maxNodes int) (*Result, error) {
 				}
 				s.Place(t, p, est)
 				placedComp += g.Comp(t)
-				for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-					ei := se.At(k)
-					pendingPreds[g.Edge(ei).To]--
+				for _, ei := range g.SuccEdges(t) {
+					pendingPreds[g.Edge(int(ei)).To]--
 				}
 				dfs(placed + 1)
-				for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-					ei := se.At(k)
-					pendingPreds[g.Edge(ei).To]++
+				for _, ei := range g.SuccEdges(t) {
+					pendingPreds[g.Edge(int(ei)).To]++
 				}
 				placedComp -= g.Comp(t)
 				s = unplace(s, t)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"flb/internal/algo/registry"
 	"flb/internal/machine"
 	"flb/internal/par"
 	"flb/internal/schedule"
@@ -62,7 +63,7 @@ func CCRSweep(cfg Config, ccrs []float64, p int) (*CCRResult, error) {
 	err := cfg.engine().Each(len(keys), func(w *par.Worker, i int) error {
 		k := keys[i]
 		flb := w.Scheduler()
-		mcp, err := w.Algorithm("mcp", cfg.BaseSeed)
+		mcp, err := registry.New("mcp", cfg.BaseSeed)
 		if err != nil {
 			return err
 		}

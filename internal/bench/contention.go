@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"flb/internal/algo/registry"
 	"flb/internal/machine"
 	"flb/internal/par"
 	"flb/internal/sim"
@@ -65,7 +66,7 @@ func Contention(cfg Config, p int) (*ContentionResult, error) {
 	cells := make([]stats.Summary, len(keys))
 	err = cfg.engine().Each(len(keys), func(w *par.Worker, i int) error {
 		k := keys[i]
-		a, err := w.Algorithm(cfg.Algorithms[k.alg], cfg.BaseSeed)
+		a, err := registry.New(cfg.Algorithms[k.alg], cfg.BaseSeed)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"flb/internal/algo/registry"
 	"flb/internal/core"
 	"flb/internal/fault"
 	"flb/internal/machine"
@@ -104,7 +105,7 @@ func FaultSweep(cfg Config, p int, crashCounts []int, draws int) (*FaultSweepRes
 	cells := make([]faultCell, len(algs)*len(insts))
 	err = cfg.engine().Each(len(cells), func(w *par.Worker, j int) error {
 		ai, ii := j/len(insts), j%len(insts)
-		a, err := w.Algorithm(cfg.Algorithms[ai], cfg.BaseSeed)
+		a, err := registry.New(cfg.Algorithms[ai], cfg.BaseSeed)
 		if err != nil {
 			return err
 		}

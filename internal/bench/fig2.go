@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"flb/internal/algo/registry"
 	"flb/internal/core"
 	"flb/internal/fault"
 	"flb/internal/machine"
@@ -46,7 +47,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 		Millis: map[string]map[int]stats.Summary{},
 	}
 	// One job per (algorithm, P) cell, fanned out over the engine
-	// (cfg.Workers). Each worker times its own algorithm instance, so the
+	// (cfg.Workers). Each job times its own algorithm value, so the
 	// measured work per cell is exactly the serial sweep's; with a pool the
 	// cells overlap in wall-clock time, trading per-sample stability for
 	// sweep throughput (see Config.Workers).
@@ -65,7 +66,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 	cells := make([]stats.Summary, len(keys))
 	err = cfg.engine().Each(len(keys), func(w *par.Worker, i int) error {
 		k := keys[i]
-		a, err := w.Algorithm(cfg.Algorithms[k.alg], cfg.BaseSeed)
+		a, err := registry.New(cfg.Algorithms[k.alg], cfg.BaseSeed)
 		if err != nil {
 			return err
 		}

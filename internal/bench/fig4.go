@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"flb/internal/algo/registry"
 	"flb/internal/machine"
 	"flb/internal/memo"
 	"flb/internal/par"
@@ -47,8 +48,8 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 		res.Algorithms = append(res.Algorithms, a.Name())
 	}
 	// One job per (family, CCR, P) cell; cells are independent, so they
-	// fan out over the engine's pool (cfg.Workers), each worker using its
-	// own algorithm instances.
+	// fan out over the engine's pool (cfg.Workers), each job building its
+	// own algorithm values.
 	type cellKey struct {
 		fam string
 		ccr float64
@@ -67,7 +68,7 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 	cells := make([]map[string]stats.Summary, len(keys))
 	err = cfg.engine().Each(len(keys), func(w *par.Worker, i int) error {
 		k := keys[i]
-		ref, err := w.Algorithm("mcp", cfg.BaseSeed)
+		ref, err := registry.New("mcp", cfg.BaseSeed)
 		if err != nil {
 			return err
 		}
@@ -83,7 +84,7 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 			}
 			refMk := refS.Makespan()
 			for _, name := range cfg.Algorithms {
-				a, err := w.Algorithm(name, cfg.BaseSeed)
+				a, err := registry.New(name, cfg.BaseSeed)
 				if err != nil {
 					return err
 				}

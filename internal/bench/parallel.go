@@ -7,10 +7,10 @@ import (
 )
 
 // The sweeps fan their independent cells out through the internal/par
-// batch engine: each worker owns reusable scheduling arenas and private
-// registry algorithm instances (algorithms may carry seeded or pooled
-// state, so they are never shared across goroutines), and every job
-// writes only into its own slot. Results are therefore byte-identical for
+// batch engine: each worker owns reusable scheduling arenas, each job
+// builds its registry algorithms with registry.New (value types whose
+// scratch is pooled per package), and every job writes only into its own
+// slot. Results are therefore byte-identical for
 // any Config.Workers value; see the determinism argument in internal/par.
 // Only the robustness sweep stays serial — its draws consume one RNG
 // sequence spanning instances, which a fan-out cannot reproduce.

@@ -21,14 +21,13 @@ import (
 // structural unit (V+E) so one constant covers families of different edge
 // density: a frozen graph costs ~64 bytes per task (Task struct, topo and
 // bottom-level memos, CSR offsets) plus ~32 bytes per edge (Edge struct,
-// two compact CSR adjacency entries), i.e. ~43 B/(V+E) at density 2.
+// two uint32 CSR adjacency entries), i.e. ~43 B/(V+E) at density 2.
 // The committed sweep measures 38.0–44.2 B/(V+E) across families at
 // V >= 10^5; the regressions this gate exists for — eager per-task name
-// strings (+8 B/(V+E) on LU) or a fallback to the wide []int CSR
-// (+8 B/(V+E) on every family) — push at least one row past 48, so the
-// budget sits at 47. Peak RSS is process-wide and only meaningful when
-// the sweep runs alone (flbbench -exp scale); the CI guard budgets the
-// quick sweep.
+// strings (+8 B/(V+E) on LU) or 64-bit CSR indices (+8 B/(V+E) on every
+// family) — push at least one row past 48, so the budget sits at 47.
+// Peak RSS is process-wide and only meaningful when the sweep runs alone
+// (flbbench -exp scale); the CI guard budgets the quick sweep.
 const (
 	// ScaleBytesPerVEBudget caps the measured live-heap bytes per (V+E)
 	// unit of a frozen graph with V >= 10^5 (smaller graphs carry
@@ -46,7 +45,7 @@ const (
 type ScaleRow struct {
 	Family       string
 	V, E         int
-	Adj          string  // CSR representation in use: "u32" or "int"
+	Adj          string  // CSR representation: always "u32"
 	BuildMS      float64 // generator streaming into NewWithCapacity
 	FreezeMS     float64 // CSR + validation + memoized orders and levels
 	ScheduleMS   float64 // one FLB run on a pre-grown Scheduler arena
@@ -116,10 +115,6 @@ func Scale(sizes []int, p int) (*ScaleResult, error) {
 			freezeMS := float64(time.Since(start).Nanoseconds()) / 1e6
 			bytes := liveBytes() - before
 
-			adj := "int"
-			if g.AdjModeInUse() == graph.AdjCompact {
-				adj = "u32"
-			}
 			sc.Grow(g.NumTasks(), p)
 			start = time.Now()
 			s, err := sc.Schedule(g, sys)
@@ -132,7 +127,7 @@ func Scale(sizes []int, p int) (*ScaleResult, error) {
 				Family:       fam.name,
 				V:            vv,
 				E:            ee,
-				Adj:          adj,
+				Adj:          "u32",
 				BuildMS:      buildMS,
 				FreezeMS:     freezeMS,
 				ScheduleMS:   schedMS,

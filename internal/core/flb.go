@@ -587,9 +587,8 @@ func (st *flbState) updateReadyTasks(t int) {
 //flb:hotpath
 func (st *flbState) classifyReady(nt int) {
 	lmt, ep := 0.0, machine.Proc(-1)
-	for k, pe := 0, st.g.PredEdges(nt); k < pe.Len(); k++ {
-		ei := pe.At(k)
-		e := st.g.Edge(ei)
+	for _, ei := range st.g.PredEdges(nt) {
+		e := st.g.Edge(int(ei))
 		arrive := st.s.Finish(e.From) + st.sys.RemoteCost(e.Comm)
 		p := st.s.Proc(e.From)
 		// Last message arrival and its source processor; arrival ties break
@@ -615,9 +614,8 @@ func (st *flbState) classifyReady(nt int) {
 	}
 	// EP type: compute the effective message arrival time on ep.
 	emt := 0.0
-	for k, pe := 0, st.g.PredEdges(nt); k < pe.Len(); k++ {
-		ei := pe.At(k)
-		e := st.g.Edge(ei)
+	for _, ei := range st.g.PredEdges(nt) {
+		e := st.g.Edge(int(ei))
 		a := st.s.ArrivalTime(e, ep)
 		if a > emt {
 			emt = a

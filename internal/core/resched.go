@@ -163,9 +163,8 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 	r.ready = r.ready[:0]
 	for _, t := range req.Todo {
 		cnt := 0
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			if r.inPlan[g.Edge(ei).From] {
+		for _, ei := range g.PredEdges(t) {
+			if r.inPlan[g.Edge(int(ei)).From] {
 				cnt++
 			}
 		}
@@ -213,9 +212,8 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 		r.inPlan[bt] = false
 		r.ready[bi] = r.ready[len(r.ready)-1]
 		r.ready = r.ready[:len(r.ready)-1]
-		for k, se := 0, g.SuccEdges(bt); k < se.Len(); k++ {
-			ei := se.At(k)
-			to := g.Edge(ei).To
+		for _, ei := range g.SuccEdges(bt) {
+			to := g.Edge(int(ei)).To
 			if !r.inPlan[to] {
 				continue
 			}
@@ -303,9 +301,8 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 	for i := k; i < n; i++ {
 		t := order[i]
 		cnt := 0
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			if r.inPlan[g.Edge(ei).From] {
+		for _, ei := range g.PredEdges(t) {
+			if r.inPlan[g.Edge(int(ei)).From] {
 				cnt++
 			}
 		}
@@ -339,9 +336,8 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 		}
 		r.plan.Place(bt, bp, bestStart)
 		r.inPlan[bt] = false
-		for k, se := 0, g.SuccEdges(bt); k < se.Len(); k++ {
-			ei := se.At(k)
-			to := g.Edge(ei).To
+		for _, ei := range g.SuccEdges(bt) {
+			to := g.Edge(int(ei)).To
 			if !r.inPlan[to] {
 				continue
 			}
@@ -364,9 +360,8 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 func (r *Rescheduler) est(req *fault.Request, t int, p machine.Proc) float64 {
 	g, sys := req.G, req.Sys
 	rel := r.plan.PRT(p)
-	for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-		ei := pe.At(k)
-		e := g.Edge(ei)
+	for _, ei := range g.PredEdges(t) {
+		e := g.Edge(int(ei))
 		var a float64
 		if r.plan.Assigned(e.From) {
 			a = r.plan.Finish(e.From) + sys.CommCost(e.Comm, r.plan.Proc(e.From), p)

@@ -77,9 +77,8 @@ func TestReschedulerAssignsSuffix(t *testing.T) {
 		// Seq must order every pending predecessor before its dependents.
 		g := req.G
 		for _, tk := range req.Seq {
-			for k, pe := 0, g.PredEdges(tk); k < pe.Len(); k++ {
-				ei := pe.At(k)
-				from := g.Edge(ei).From
+			for _, ei := range g.PredEdges(tk) {
+				from := g.Edge(int(ei)).From
 				if !req.Executed[from] && assignedAt[from] > assignedAt[tk] {
 					t.Fatalf("seed %d: task %d sequenced before its predecessor %d", seed, tk, from)
 				}

@@ -23,13 +23,13 @@ func (g *Graph) Granularity() float64 {
 	grain := -1.0
 	for id := range g.tasks {
 		maxComm := 0.0
-		for k, pe := 0, g.preds(id); k < pe.Len(); k++ {
-			if c := g.edges[pe.At(k)].Comm; c > maxComm {
+		for _, ei := range g.preds(id) {
+			if c := g.edges[ei].Comm; c > maxComm {
 				maxComm = c
 			}
 		}
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			if c := g.edges[se.At(k)].Comm; c > maxComm {
+		for _, ei := range g.succs(id) {
+			if c := g.edges[ei].Comm; c > maxComm {
 				maxComm = c
 			}
 		}
@@ -58,8 +58,8 @@ func (g *Graph) ParallelismProfile() []int {
 	layer := make([]int, len(g.tasks))
 	maxLayer := -1
 	for _, id := range order {
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			to := g.edges[se.At(k)].To
+		for _, ei := range g.succs(id) {
+			to := g.edges[ei].To
 			if layer[id]+1 > layer[to] {
 				layer[to] = layer[id] + 1
 			}

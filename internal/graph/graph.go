@@ -10,16 +10,14 @@
 // format plus Graphviz DOT export.
 //
 // Adjacency is stored in CSR (compressed sparse row) form — one offsets
-// slice plus one packed edge-index slice per direction — so a task's
-// in/out edges are a contiguous, cache-local window of one array instead
-// of a per-task heap allocation. When V and E both fit in 32 bits (every
-// graph this module can realistically schedule) the CSR arrays are stored
-// as []uint32 instead of []int, halving adjacency memory; the Edges view
-// hides the representation from callers and both modes produce bit-identical
-// schedules. Frozen graphs additionally memoize the derived data the
-// schedulers recompute per run (topological order, bottom levels,
-// entry/exit sets, validation), which the benchmark harness exploits by
-// scheduling the same instance hundreds of times.
+// slice plus one packed edge-index slice per direction, all []uint32 — so
+// a task's in/out edges are a contiguous, cache-local window of one array
+// instead of a per-task heap allocation, at half the footprint of []int
+// indices. PredEdges and SuccEdges hand the windows out as plain slices.
+// Frozen graphs additionally memoize the derived data the schedulers
+// recompute per run (topological order, bottom levels, entry/exit sets,
+// validation), which the benchmark harness exploits by scheduling the
+// same instance hundreds of times.
 package graph
 
 import (
@@ -52,19 +50,16 @@ type Edge struct {
 	Comm float64
 }
 
-// AdjMode selects the CSR index representation.
+// AdjMode names the CSR index representation. AdjCompact is the only one.
 type AdjMode int
 
-const (
-	// AdjAuto picks the compact []uint32 representation whenever V and E
-	// both fit in 32 bits, and the wide []int one otherwise. The default.
-	AdjAuto AdjMode = iota
-	// AdjWide forces []int indices and offsets.
-	AdjWide
-	// AdjCompact forces []uint32 indices and offsets; building adjacency
-	// for a graph whose V or E overflow uint32 panics.
-	AdjCompact
-)
+// AdjCompact stores CSR offsets and edge indices as []uint32.
+const AdjCompact AdjMode = 0
+
+// MaxCSR is the largest task or edge count the []uint32 CSR can index
+// (2³²−1, or the largest int where that is smaller). Limits caps parsed
+// graphs here; building adjacency for a larger graph panics.
+const MaxCSR = min(math.MaxUint32, math.MaxInt)
 
 // Graph is a weighted DAG of tasks. Construct with New or NewWithCapacity,
 // then AddTask and AddEdge. Graphs are cheap to copy shallowly but are
@@ -76,24 +71,14 @@ type Graph struct {
 	tasks []Task
 	edges []Edge
 
-	// CSR adjacency, built lazily by Freeze/ensureAdj in exactly one of two
-	// representations (compact selects which). succOff/predOff have length
-	// V+1; succAdj/predAdj pack the edge indices of each task's out/in
-	// edges contiguously, in increasing edge-index order (the insertion
-	// order, which the schedulers' tie-breaking relies on). The compact
-	// arrays hold the same values as uint32.
-	succOff []int
-	predOff []int
-	succAdj []int
-	predAdj []int
-
-	succOff32 []uint32
-	predOff32 []uint32
-	succAdj32 []uint32
-	predAdj32 []uint32
-
-	adjMode AdjMode
-	compact bool
+	// CSR adjacency, built lazily by Freeze/ensureAdj. succOff/predOff
+	// have length V+1; succAdj/predAdj pack the edge indices of each
+	// task's out/in edges contiguously, in increasing edge-index order (the
+	// insertion order, which the schedulers' tie-breaking relies on).
+	succOff []uint32
+	predOff []uint32
+	succAdj []uint32
+	predAdj []uint32
 	dirty   bool
 
 	// Memoized derived data; see the invalidation rules in mutated and
@@ -149,7 +134,9 @@ func (g *Graph) weightsMutated() {
 }
 
 // AddTask appends a task with the given computation cost and returns its ID.
-// The task gets the default name "tN", synthesized lazily on access.
+// The task gets the default name "tN", synthesized lazily on access. A
+// graph of more than MaxCSR tasks cannot be frozen or scheduled: building
+// its adjacency panics.
 func (g *Graph) AddTask(comp float64) int {
 	id := len(g.tasks)
 	g.tasks = append(g.tasks, Task{ID: id, Comp: comp})
@@ -166,7 +153,8 @@ func (g *Graph) AddNamedTask(name string, comp float64) int {
 
 // AddEdge appends a dependence from -> to with the given communication
 // cost. Endpoints must already exist. Cycles and duplicate edges are
-// detected by Validate, not here.
+// detected by Validate, not here. As with AddTask, building adjacency for
+// more than MaxCSR edges panics.
 func (g *Graph) AddEdge(from, to int, comm float64) {
 	if from < 0 || from >= len(g.tasks) || to < 0 || to >= len(g.tasks) {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) with %d tasks", from, to, len(g.tasks)))
@@ -214,160 +202,82 @@ func (g *Graph) SetComm(i int, c float64) {
 	g.weightsMutated()
 }
 
-// SetAdjMode selects the CSR representation (AdjAuto, AdjWide, AdjCompact).
-// Call it before Freeze — switching the mode invalidates the built
-// adjacency (but not the memoized orders and levels, which are
-// representation-independent). The property tests use it to pin compact
-// and wide modes to bit-identical schedules.
-func (g *Graph) SetAdjMode(m AdjMode) {
-	if g.adjMode == m {
-		return
-	}
-	g.adjMode = m
-	g.dirty = true
-}
-
-// AdjModeInUse reports the representation the built adjacency uses; it
-// resolves AdjAuto to the concrete choice.
+// AdjModeInUse builds the adjacency and reports its representation,
+// always AdjCompact.
 func (g *Graph) AdjModeInUse() AdjMode {
 	g.ensureAdj()
-	if g.compact {
-		return AdjCompact
-	}
-	return AdjWide
-}
-
-// fitsCompact reports whether v tasks and e edges are addressable with
-// uint32 indices (offsets store values up to e, adjacency stores edge
-// indices up to e-1, and both are indexed by task IDs up to v).
-func fitsCompact(v, e int) bool {
-	return uint64(v) <= math.MaxUint32 && uint64(e) <= math.MaxUint32
+	return AdjCompact
 }
 
 // ensureAdj builds the CSR adjacency: a counting pass over the edges, a
 // prefix sum, and a fill pass that preserves edge-index order within each
-// task's window. The arrays are built directly in the selected
-// representation; the other representation's arrays are released.
+// task's window. It panics when V or E exceeds MaxCSR; the parsers' Limits
+// refuse such inputs first.
 func (g *Graph) ensureAdj() {
 	if !g.dirty {
 		return
 	}
 	v, e := len(g.tasks), len(g.edges)
-	compact := g.adjMode == AdjCompact || (g.adjMode == AdjAuto && fitsCompact(v, e))
-	if compact && !fitsCompact(v, e) {
-		panic("graph: AdjCompact forced but V or E overflows uint32")
+	if uint64(v) > MaxCSR || uint64(e) > MaxCSR {
+		panic("graph: V or E exceeds MaxCSR (2^32-1), the limit of the uint32 CSR")
 	}
-	if compact {
-		g.succOff, g.predOff, g.succAdj, g.predAdj = nil, nil, nil, nil
-		g.succOff32 = make([]uint32, v+1) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		g.predOff32 = make([]uint32, v+1) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		for _, ed := range g.edges {
-			g.succOff32[ed.From+1]++
-			g.predOff32[ed.To+1]++
-		}
-		for i := 0; i < v; i++ {
-			g.succOff32[i+1] += g.succOff32[i]
-			g.predOff32[i+1] += g.predOff32[i]
-		}
-		g.succAdj32 = make([]uint32, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		g.predAdj32 = make([]uint32, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		// next cursors: local copies of the offsets keep the fill a single
-		// linear pass; uint32 cursors halve the transient footprint too.
-		nextS := make([]uint32, v) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		nextP := make([]uint32, v) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		copy(nextS, g.succOff32[:v])
-		copy(nextP, g.predOff32[:v])
-		for i, ed := range g.edges {
-			g.succAdj32[nextS[ed.From]] = uint32(i)
-			nextS[ed.From]++
-			g.predAdj32[nextP[ed.To]] = uint32(i)
-			nextP[ed.To]++
-		}
-	} else {
-		g.succOff32, g.predOff32, g.succAdj32, g.predAdj32 = nil, nil, nil, nil
-		g.succOff = make([]int, v+1) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		g.predOff = make([]int, v+1) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		for _, ed := range g.edges {
-			g.succOff[ed.From+1]++
-			g.predOff[ed.To+1]++
-		}
-		for i := 0; i < v; i++ {
-			g.succOff[i+1] += g.succOff[i]
-			g.predOff[i+1] += g.predOff[i]
-		}
-		g.succAdj = make([]int, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		g.predAdj = make([]int, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		nextS := make([]int, v)    //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		nextP := make([]int, v)    //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-		copy(nextS, g.succOff[:v])
-		copy(nextP, g.predOff[:v])
-		for i, ed := range g.edges {
-			g.succAdj[nextS[ed.From]] = i
-			nextS[ed.From]++
-			g.predAdj[nextP[ed.To]] = i
-			nextP[ed.To]++
-		}
+	g.succOff = make([]uint32, v+1) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
+	g.predOff = make([]uint32, v+1) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
+	for _, ed := range g.edges {
+		g.succOff[ed.From+1]++
+		g.predOff[ed.To+1]++
 	}
-	g.compact = compact
+	for i := 0; i < v; i++ {
+		g.succOff[i+1] += g.succOff[i]
+		g.predOff[i+1] += g.predOff[i]
+	}
+	g.succAdj = make([]uint32, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
+	g.predAdj = make([]uint32, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
+	// next cursors: local copies of the offsets keep the fill a single
+	// linear pass.
+	nextS := make([]uint32, v) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
+	nextP := make([]uint32, v) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
+	copy(nextS, g.succOff[:v])
+	copy(nextP, g.predOff[:v])
+	for i, ed := range g.edges {
+		g.succAdj[nextS[ed.From]] = uint32(i)
+		nextS[ed.From]++
+		g.predAdj[nextP[ed.To]] = uint32(i)
+		nextP[ed.To]++
+	}
 	g.dirty = false
 }
 
-// Edges is a read-only view of one task's in- or out-edge indices, in
-// increasing edge-index order. It abstracts over the wide ([]int) and
-// compact ([]uint32) CSR representations: exactly one of the two backing
-// slices is set. The zero value is an empty view.
-type Edges struct {
-	w []int
-	c []uint32
+// succs returns the out-edge window of task id. Adjacency must be built.
+//
+//flb:hotpath
+func (g *Graph) succs(id int) []uint32 {
+	return g.succAdj[g.succOff[id]:g.succOff[id+1]:g.succOff[id+1]]
 }
 
-// Len returns the number of edges in the view.
+// preds returns the in-edge window of task id. Adjacency must be built.
 //
 //flb:hotpath
-func (l Edges) Len() int { return len(l.w) + len(l.c) }
-
-// At returns the edge index of the k-th edge in the view.
-//
-//flb:hotpath
-func (l Edges) At(k int) int {
-	if l.c != nil {
-		return int(l.c[k])
-	}
-	return l.w[k]
+func (g *Graph) preds(id int) []uint32 {
+	return g.predAdj[g.predOff[id]:g.predOff[id+1]:g.predOff[id+1]]
 }
 
-// succs returns the out-edge view of task id. Adjacency must be built.
+// SuccEdges returns the indices of the out-edges of task id, in
+// increasing edge-index order. The window aliases the adjacency and must
+// not be modified.
 //
 //flb:hotpath
-func (g *Graph) succs(id int) Edges {
-	if g.compact {
-		return Edges{c: g.succAdj32[g.succOff32[id]:g.succOff32[id+1]:g.succOff32[id+1]]}
-	}
-	return Edges{w: g.succAdj[g.succOff[id]:g.succOff[id+1]:g.succOff[id+1]]}
-}
-
-// preds returns the in-edge view of task id. Adjacency must be built.
-//
-//flb:hotpath
-func (g *Graph) preds(id int) Edges {
-	if g.compact {
-		return Edges{c: g.predAdj32[g.predOff32[id]:g.predOff32[id+1]:g.predOff32[id+1]]}
-	}
-	return Edges{w: g.predAdj[g.predOff[id]:g.predOff[id+1]:g.predOff[id+1]]}
-}
-
-// SuccEdges returns a view of the indices of the out-edges of task id.
-//
-//flb:hotpath
-func (g *Graph) SuccEdges(id int) Edges {
+func (g *Graph) SuccEdges(id int) []uint32 {
 	g.ensureAdj()
 	return g.succs(id)
 }
 
-// PredEdges returns a view of the indices of the in-edges of task id.
+// PredEdges returns the indices of the in-edges of task id, in
+// increasing edge-index order. The window aliases the adjacency and must
+// not be modified.
 //
 //flb:hotpath
-func (g *Graph) PredEdges(id int) Edges {
+func (g *Graph) PredEdges(id int) []uint32 {
 	g.ensureAdj()
 	return g.preds(id)
 }
@@ -375,19 +285,13 @@ func (g *Graph) PredEdges(id int) Edges {
 // OutDegree returns the number of successors of task id.
 func (g *Graph) OutDegree(id int) int {
 	g.ensureAdj()
-	if g.compact {
-		return int(g.succOff32[id+1] - g.succOff32[id])
-	}
-	return g.succOff[id+1] - g.succOff[id]
+	return int(g.succOff[id+1] - g.succOff[id])
 }
 
 // InDegree returns the number of predecessors of task id.
 func (g *Graph) InDegree(id int) int {
 	g.ensureAdj()
-	if g.compact {
-		return int(g.predOff32[id+1] - g.predOff32[id])
-	}
-	return g.predOff[id+1] - g.predOff[id]
+	return int(g.predOff[id+1] - g.predOff[id])
 }
 
 // IsEntry reports whether task id has no input edges.
@@ -503,7 +407,6 @@ func (g *Graph) Freeze() {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	ng := New(g.Name)
-	ng.adjMode = g.adjMode
 	ng.tasks = append([]Task(nil), g.tasks...)
 	ng.edges = append([]Edge(nil), g.edges...)
 	return ng

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -63,6 +65,71 @@ func TestDegreesAndEntryExit(t *testing.T) {
 		t.Errorf("degrees wrong: out(0)=%d in(7)=%d in(0)=%d",
 			g.OutDegree(0), g.InDegree(7), g.InDegree(0))
 	}
+}
+
+// TestEdgeWindows pins the CSR contract every scheduler walks: each
+// task's window lists edge indices in increasing order (the tie-break
+// order of DESIGN.md §8), the predecessor windows and the successor
+// windows each partition [0, E), and window lengths are the degrees. The
+// edges are added in shuffled order, so insertion order and task order
+// disagree, and an edge added after the first freeze forces a rebuild.
+func TestEdgeWindows(t *testing.T) {
+	const v = 12
+	g := New("windows")
+	for i := 0; i < v; i++ {
+		g.AddTask(1)
+	}
+	var pairs [][2]int
+	for a := 0; a < v; a++ {
+		for b := a + 1; b < v; b++ {
+			if (a*7+b*3)%4 != 0 {
+				pairs = append(pairs, [2]int{a, b})
+			}
+		}
+	}
+	for _, k := range rand.New(rand.NewSource(1)).Perm(len(pairs)) {
+		g.AddEdge(pairs[k][0], pairs[k][1], 1)
+	}
+	check := func() {
+		t.Helper()
+		g.Freeze()
+		e := g.NumEdges()
+		for _, dir := range []struct {
+			name     string
+			window   func(int) []uint32
+			degree   func(int) int
+			endpoint func(Edge) int
+		}{
+			{"pred", g.PredEdges, g.InDegree, func(ed Edge) int { return ed.To }},
+			{"succ", g.SuccEdges, g.OutDegree, func(ed Edge) int { return ed.From }},
+		} {
+			seen := make([]int, e)
+			for id := 0; id < v; id++ {
+				w := dir.window(id)
+				if len(w) != dir.degree(id) {
+					t.Errorf("%s window of %d has %d edges, degree %d", dir.name, id, len(w), dir.degree(id))
+				}
+				// Sorted here plus each edge once (below) is strictly increasing.
+				if !slices.IsSorted(w) {
+					t.Errorf("%s window of %d not increasing: %v", dir.name, id, w)
+				}
+				for _, ei := range w {
+					if got := dir.endpoint(g.Edge(int(ei))); got != id {
+						t.Errorf("%s window of %d holds edge %d of task %d", dir.name, id, ei, got)
+					}
+					seen[ei]++
+				}
+			}
+			for ei, n := range seen {
+				if n != 1 {
+					t.Errorf("edge %d is in %d %s windows, want 1", ei, n, dir.name)
+				}
+			}
+		}
+	}
+	check()
+	g.AddEdge(0, v-1, 1)
+	check()
 }
 
 func TestTotalsAndCCR(t *testing.T) {

@@ -446,8 +446,8 @@ func (g *Graph) firstDuplicate() (i, j int, ok bool) {
 	j = -1
 	for v := range g.tasks {
 		pe := g.preds(v)
-		for k := 0; k < pe.Len(); k++ {
-			e := pe.At(k)
+		for _, ei := range pe {
+			e := int(ei)
 			u := g.edges[e].From
 			if first[u] == 0 {
 				first[u] = e + 1
@@ -455,8 +455,8 @@ func (g *Graph) firstDuplicate() (i, j int, ok bool) {
 				i, j = first[u]-1, e
 			}
 		}
-		for k := 0; k < pe.Len(); k++ {
-			first[g.edges[pe.At(k)].From] = 0
+		for _, ei := range pe {
+			first[g.edges[ei].From] = 0
 		}
 	}
 	return i, j, j >= 0

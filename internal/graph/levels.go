@@ -29,8 +29,8 @@ func (g *Graph) BottomLevels() []float64 {
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0.0
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			e := g.edges[se.At(k)]
+		for _, ei := range g.succs(id) {
+			e := g.edges[ei]
 			if v := e.Comm + bl[e.To]; v > best {
 				best = v
 			}
@@ -49,8 +49,8 @@ func (g *Graph) TopLevels() []float64 {
 	}
 	tl := make([]float64, len(g.tasks))
 	for _, id := range order {
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			e := g.edges[se.At(k)]
+		for _, ei := range g.succs(id) {
+			e := g.edges[ei]
 			if v := tl[id] + g.tasks[id].Comp + e.Comm; v > tl[e.To] {
 				tl[e.To] = v
 			}
@@ -70,8 +70,8 @@ func (g *Graph) StaticLevels() []float64 {
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0.0
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			if v := sl[g.edges[se.At(k)].To]; v > best {
+		for _, ei := range g.succs(id) {
+			if v := sl[g.edges[ei].To]; v > best {
 				best = v
 			}
 		}

@@ -24,10 +24,11 @@ const (
 
 // Limits bounds what ReadTextLimits and ReadSTGLimits will parse. The
 // zero value of a field selects the package default, so callers tighten
-// only the knobs they care about; a negative field disables that limit.
-// The same Limits value is shared between the flbd HTTP handlers and the
-// parsers, so the service's documented caps and the parser's enforced
-// caps cannot drift apart.
+// only the knobs they care about; a negative field, or one above MaxCSR,
+// caps at MaxCSR, the most the CSR adjacency can index, so no parsed
+// graph is too large to freeze. The same Limits value is shared between
+// the flbd HTTP handlers and the parsers, so the service's documented
+// caps and the parser's enforced caps cannot drift apart.
 type Limits struct {
 	MaxTasks int
 	MaxEdges int
@@ -38,27 +39,34 @@ func DefaultLimits() Limits {
 	return Limits{MaxTasks: DefaultMaxTasks, MaxEdges: DefaultMaxEdges}
 }
 
-// Normalized resolves zero fields to the defaults and negative fields to
-// "unlimited".
+// Normalized resolves zero fields to the defaults and negative or
+// oversized fields to MaxCSR.
 func (l Limits) Normalized() Limits {
-	if l.MaxTasks == 0 {
-		l.MaxTasks = DefaultMaxTasks
-	}
-	if l.MaxEdges == 0 {
-		l.MaxEdges = DefaultMaxEdges
-	}
+	l.MaxTasks = normalizeLimit(l.MaxTasks, DefaultMaxTasks)
+	l.MaxEdges = normalizeLimit(l.MaxEdges, DefaultMaxEdges)
 	return l
 }
 
+func normalizeLimit(n, def int) int {
+	switch {
+	case n == 0:
+		return def
+	case n < 0 || uint64(n) > MaxCSR:
+		return MaxCSR
+	}
+	return n
+}
+
+// checkTasks and checkEdges test a count against Normalized limits.
 func (l Limits) checkTasks(n int) error {
-	if l.MaxTasks > 0 && n > l.MaxTasks {
+	if n > l.MaxTasks {
 		return fmt.Errorf("%w: %d tasks exceeds limit %d", ErrTooLarge, n, l.MaxTasks)
 	}
 	return nil
 }
 
 func (l Limits) checkEdges(n int) error {
-	if l.MaxEdges > 0 && n > l.MaxEdges {
+	if n > l.MaxEdges {
 		return fmt.Errorf("%w: %d edges exceeds limit %d", ErrTooLarge, n, l.MaxEdges)
 	}
 	return nil

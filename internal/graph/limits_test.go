@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,37 @@ func TestDefaultLimitsShared(t *testing.T) {
 		t.Fatalf("zero-value Limits must mean defaults, got %v", err)
 	}
 	if _, err := ReadTextLimits(strings.NewReader(textGraph(3)), Limits{MaxTasks: -1, MaxEdges: -1}); err != nil {
-		t.Fatalf("negative Limits must mean unlimited, got %v", err)
+		t.Fatalf("negative Limits must cap at MaxCSR, got %v", err)
+	}
+}
+
+// TestLimitsCapAtMaxCSR pins that no Limits value lets a parser build a
+// graph the uint32 CSR cannot index: a negative or oversized field
+// normalizes to MaxCSR, and one task or edge past it is ErrTooLarge.
+func TestLimitsCapAtMaxCSR(t *testing.T) {
+	over := uint64(MaxCSR) + 1
+	for _, lim := range []Limits{{MaxTasks: -1, MaxEdges: -1}, {MaxTasks: int(over), MaxEdges: int(over)}} {
+		n := lim.Normalized()
+		if n.MaxTasks != MaxCSR || n.MaxEdges != MaxCSR {
+			t.Fatalf("%+v normalized to %+v, want both fields %d", lim, n, uint64(MaxCSR))
+		}
+		if err := n.checkTasks(MaxCSR); err != nil {
+			t.Errorf("%+v: MaxCSR tasks refused: %v", lim, err)
+		}
+		if err := n.checkEdges(MaxCSR); err != nil {
+			t.Errorf("%+v: MaxCSR edges refused: %v", lim, err)
+		}
+		if err := n.checkTasks(int(over)); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%+v: MaxCSR+1 tasks: got %v, want ErrTooLarge", lim, err)
+		}
+		if err := n.checkEdges(int(over)); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%+v: MaxCSR+1 edges: got %v, want ErrTooLarge", lim, err)
+		}
+	}
+	// The STG reader vets its declared count before sizing any storage,
+	// so the cap shows end to end without building a huge graph.
+	hdr := strconv.FormatUint(over, 10) + "\n"
+	if _, err := ReadSTGLimits(strings.NewReader(hdr), Limits{MaxTasks: -1}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("ReadSTGLimits of a MaxCSR+1 header under a negative limit: got %v, want ErrTooLarge", err)
 	}
 }

@@ -182,9 +182,9 @@ func (g *Graph) WriteSTG(w io.Writer) error {
 	fmt.Fprintf(bw, "%d\n", g.NumTasks())
 	for id := 0; id < g.NumTasks(); id++ {
 		preds := g.PredEdges(id)
-		fmt.Fprintf(bw, "%d %g %d", id, g.Comp(id), preds.Len())
-		for k := 0; k < preds.Len(); k++ {
-			e := g.Edge(preds.At(k))
+		fmt.Fprintf(bw, "%d %g %d", id, g.Comp(id), len(preds))
+		for _, ei := range preds {
+			e := g.Edge(int(ei))
 			fmt.Fprintf(bw, " %d %g", e.From, e.Comm)
 		}
 		fmt.Fprintln(bw)

@@ -23,7 +23,7 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	n := len(g.tasks)
 	indeg := make([]int, n)
 	for id := 0; id < n; id++ {
-		indeg[id] = g.preds(id).Len()
+		indeg[id] = len(g.preds(id))
 	}
 	// A simple FIFO queue keeps the order deterministic; entry tasks are
 	// seeded in increasing ID order.
@@ -38,8 +38,8 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, id)
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			to := g.edges[se.At(k)].To
+		for _, ei := range g.succs(id) {
+			to := g.edges[ei].To
 			indeg[to]--
 			if indeg[to] == 0 {
 				queue = append(queue, to)
@@ -83,16 +83,15 @@ func (g *Graph) Validate() error {
 	var scratch []int
 	for id := 0; id < n; id++ {
 		pe := g.preds(id)
-		d := pe.Len()
-		if d < 2 {
+		if len(pe) < 2 {
 			continue
 		}
 		scratch = scratch[:0]
-		for k := 0; k < d; k++ {
-			scratch = append(scratch, g.edges[pe.At(k)].From)
+		for _, ei := range pe {
+			scratch = append(scratch, g.edges[ei].From)
 		}
 		sort.Ints(scratch)
-		for k := 1; k < d; k++ {
+		for k := 1; k < len(scratch); k++ {
 			if scratch[k] == scratch[k-1] {
 				return fmt.Errorf("graph %q: duplicate edge %d->%d", g.Name, scratch[k], id)
 			}

@@ -69,8 +69,8 @@ func (g *Graph) Reachability() []Bitset {
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		reach[id] = NewBitset(n)
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			to := g.edges[se.At(k)].To
+		for _, ei := range g.succs(id) {
+			to := g.edges[ei].To
 			reach[id].Set(to)
 			reach[id].Or(reach[to])
 		}
@@ -179,8 +179,8 @@ func (g *Graph) LayerWidth() int {
 	layer := make([]int, n)
 	maxLayer := 0
 	for _, id := range order {
-		for k, se := 0, g.succs(id); k < se.Len(); k++ {
-			to := g.edges[se.At(k)].To
+		for _, ei := range g.succs(id) {
+			to := g.edges[ei].To
 			if layer[id]+1 > layer[to] {
 				layer[to] = layer[id] + 1
 			}

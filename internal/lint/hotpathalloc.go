@@ -64,7 +64,6 @@ var requiredHotpath = map[string][]string{
 	},
 	"flb/internal/graph": {
 		"Graph.SuccEdges", "Graph.PredEdges", "Graph.Edge",
-		"Edges.Len", "Edges.At",
 	},
 	"flb/internal/algo": {
 		"ReadyTracker.Complete",

@@ -1,8 +1,7 @@
 // Package graph mirrors the real CSR accessor package to exercise the
 // required-marker rule: under the import path flb/internal/graph the
-// analyzer demands //flb:hotpath on SuccEdges, PredEdges, Edge and the
-// Edges view accessors; the two unmarked methods below are findings
-// reported on the package clause.
+// analyzer demands //flb:hotpath on SuccEdges, PredEdges and Edge; the
+// two unmarked methods below are findings reported on the package clause.
 package graph // want `Graph.PredEdges must be marked //flb:hotpath` `Graph.Edge must be marked //flb:hotpath`
 
 type Graph struct {
@@ -15,21 +14,3 @@ func (g *Graph) SuccEdges(id int) []int { return g.adj[id:id] }
 func (g *Graph) PredEdges(id int) []int { return g.adj[id:id] }
 
 func (g *Graph) Edge(i int) int { return g.adj[i] }
-
-// Edges mirrors the dual-representation CSR view; its accessors are on
-// the required-marker list and are marked, so they produce no findings.
-type Edges struct {
-	w []int
-	c []uint32
-}
-
-//flb:hotpath
-func (l Edges) Len() int { return len(l.w) + len(l.c) }
-
-//flb:hotpath
-func (l Edges) At(k int) int {
-	if l.c != nil {
-		return int(l.c[k])
-	}
-	return l.w[k]
-}

@@ -272,9 +272,8 @@ func (c *Cache) snapshotWeights(e *entry, g *graph.Graph, s *schedule.Schedule) 
 	ci := 0
 	for t := 0; t < n; t++ {
 		e.comps[t] = g.Comp(t)
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e.comms[ci] = g.Edge(ei).Comm
+		for _, ei := range g.PredEdges(t) {
+			e.comms[ci] = g.Edge(int(ei)).Comm
 			ci++
 		}
 	}
@@ -299,9 +298,8 @@ func (c *Cache) nearHit(i int, g *graph.Graph, sys machine.System) *schedule.Sch
 	ci := 0
 	for t := 0; t < n; t++ {
 		changed := math.Float64bits(e.comps[t]) != math.Float64bits(g.Comp(t))
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			if math.Float64bits(e.comms[ci]) != math.Float64bits(g.Edge(ei).Comm) {
+		for _, ei := range g.PredEdges(t) {
+			if math.Float64bits(e.comms[ci]) != math.Float64bits(g.Edge(int(ei)).Comm) {
 				changed = true
 			}
 			ci++

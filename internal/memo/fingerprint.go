@@ -198,9 +198,9 @@ func KeyOf(g *graph.Graph, sys machine.System, algorithm string, seed int64) Key
 		preds := g.PredEdges(t)
 		// The window length delimits tasks so window boundaries cannot
 		// alias across adjacent tasks.
-		sh.word(uint64(preds.Len()))
-		for k := 0; k < preds.Len(); k++ {
-			ed := g.Edge(preds.At(k))
+		sh.word(uint64(len(preds)))
+		for _, ei := range preds {
+			ed := g.Edge(int(ei))
 			sh.word(uint64(ed.From))
 			wh.word(math.Float64bits(ed.Comm))
 		}

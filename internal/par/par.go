@@ -1,8 +1,7 @@
 // Package par is the sharded batch-scheduling engine: a fixed pool of
 // workers, each owning the reusable scheduling arenas of internal/core (a
-// Scheduler and a Rescheduler, plus a cache of registry-built algorithm
-// instances), pulling job indexes from one bounded queue and writing
-// results into caller-indexed slots.
+// Scheduler and a Rescheduler), pulling job indexes from one bounded
+// queue and writing results into caller-indexed slots.
 //
 // # Determinism
 //
@@ -13,12 +12,12 @@
 //
 //   - results are slot-indexed: job i writes only into the caller's slot
 //     i, so output order never depends on completion order;
-//   - arenas are history-independent: a reused core.Scheduler,
-//     core.Rescheduler or registry algorithm produces bit-identical output
-//     for the same input no matter what it scheduled before (pinned by
-//     the determinism suites in internal/core and internal/algo/registry),
-//     so it does not matter which worker — with which arena history — a
-//     job lands on;
+//   - arenas are history-independent: a reused core.Scheduler or
+//     core.Rescheduler produces bit-identical output for the same input
+//     no matter what it scheduled before (pinned by the determinism suite
+//     in internal/core), so it does not matter which worker — with which
+//     arena history — a job lands on; jobs of other algorithms build a
+//     fresh registry value per job, whose scratch is pooled per package;
 //   - jobs share no mutable state: each worker's arenas are confined to
 //     its goroutine, and cross-job inputs (frozen graphs) are read-only.
 //
@@ -40,8 +39,6 @@ import (
 	"runtime"
 	"sync"
 
-	"flb/internal/algo"
-	"flb/internal/algo/registry"
 	"flb/internal/core"
 )
 
@@ -53,12 +50,6 @@ type Worker struct {
 	id      int
 	sched   *core.Scheduler
 	resched *core.Rescheduler
-
-	// algs caches registry-built algorithm instances per name so a worker
-	// never shares an instance (or any seeded state inside one) with
-	// another goroutine. The cache is invalidated when the seed changes.
-	algs    map[string]algo.Algorithm
-	algSeed int64
 }
 
 // ID returns the worker's index in [0, Workers()).
@@ -71,27 +62,6 @@ func (w *Worker) Scheduler() *core.Scheduler { return w.sched }
 
 // Rescheduler returns the worker's reusable online-repair arena.
 func (w *Worker) Rescheduler() *core.Rescheduler { return w.resched }
-
-// Algorithm returns the worker's private instance of the named registry
-// algorithm, building and caching it on first use. Each worker holds its
-// own instance so algorithms carrying seeded or pooled state are never
-// shared across goroutines; determinism across reuse is pinned by the
-// registry determinism suite.
-func (w *Worker) Algorithm(name string, seed int64) (algo.Algorithm, error) {
-	if w.algs == nil || w.algSeed != seed {
-		w.algs = map[string]algo.Algorithm{}
-		w.algSeed = seed
-	}
-	if a, ok := w.algs[name]; ok {
-		return a, nil
-	}
-	a, err := registry.New(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	w.algs[name] = a
-	return a, nil
-}
 
 // Engine is a fixed worker pool for batch scheduling. Create one with New,
 // reuse it across batches (the arenas grow to the largest job seen and are

@@ -121,29 +121,6 @@ func TestEachEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestWorkerAlgorithmCache: instances are cached per name, invalidated on
-// a seed change, and never shared between workers.
-func TestWorkerAlgorithmCache(t *testing.T) {
-	e := New(2)
-	w0, w1 := &e.workers[0], &e.workers[1]
-	a, err := w0.Algorithm("mcp", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := w0.Algorithm("mcp", 1); b != a {
-		t.Error("same worker, same seed: instance not cached")
-	}
-	if c, _ := w0.Algorithm("mcp", 2); c == a {
-		t.Error("seed change did not invalidate the cache")
-	}
-	if d, _ := w1.Algorithm("mcp", 1); &d == &a {
-		t.Error("workers share an instance")
-	}
-	if _, err := w0.Algorithm("nope", 1); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}
-
 // TestWorkerSteadyStateZeroAllocs pins the per-worker hot path: a warm
 // worker scheduling frozen instances into preallocated slots allocates
 // nothing. The inline path is measured (AllocsPerRun cannot see across

@@ -78,9 +78,8 @@ func (s *Schedule) BestArrival(e graph.Edge, p machine.Proc) float64 {
 // copies.
 func (s *Schedule) DataReadyDup(t int, p machine.Proc) float64 {
 	var ready float64
-	for k, pe := 0, s.g.PredEdges(t); k < pe.Len(); k++ {
-		ei := pe.At(k)
-		e := s.g.Edge(ei)
+	for _, ei := range s.g.PredEdges(t) {
+		e := s.g.Edge(int(ei))
 		best := math.Inf(1)
 		for _, c := range s.Copies(e.From) {
 			a := c.Finish + s.sys.CommCost(e.Comm, c.Proc, p)

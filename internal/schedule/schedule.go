@@ -215,9 +215,8 @@ func (s *Schedule) ArrivalTime(e graph.Edge, p machine.Proc) float64 {
 // entry task it is 0.
 func (s *Schedule) DataReady(t int, p machine.Proc) float64 {
 	var ready float64
-	for k, pe := 0, s.g.PredEdges(t); k < pe.Len(); k++ {
-		ei := pe.At(k)
-		if a := s.ArrivalTime(s.g.Edge(ei), p); a > ready {
+	for _, ei := range s.g.PredEdges(t) {
+		if a := s.ArrivalTime(s.g.Edge(int(ei)), p); a > ready {
 			ready = a
 		}
 	}

@@ -75,9 +75,8 @@ func (s *Schedule) Validate() error {
 func (s *Schedule) ValidateListOrder(placementOrder []int) error {
 	seen := make([]bool, s.g.NumTasks())
 	for _, t := range placementOrder {
-		for k, pe := 0, s.g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			if from := s.g.Edge(ei).From; !seen[from] {
+		for _, ei := range s.g.PredEdges(t) {
+			if from := s.g.Edge(int(ei)).From; !seen[from] {
 				return fmt.Errorf("schedule(%s): task %d placed before its predecessor %d", s.Algorithm, t, from)
 			}
 		}

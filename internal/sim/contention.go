@@ -183,15 +183,14 @@ func RunContended(s *schedule.Schedule, net Network, sink obs.Sink) (*Result, er
 				sink.TaskFinish(obs.TaskEvent{Task: t, Proc: int(s.Proc(t)), Start: res.Start[t], Finish: res.Finish[t]})
 			}
 			// Send messages FCFS; local messages deliver instantly.
-			for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-				ei := se.At(k)
-				edge := g.Edge(ei)
+			for _, ei := range g.SuccEdges(t) {
+				edge := g.Edge(int(ei))
 				if s.Proc(edge.From) == s.Proc(edge.To) {
-					deliver(ei, e.time)
+					deliver(int(ei), e.time)
 					tryStart(edge.To, e.time)
 					continue
 				}
-				r := resourceOf(ei)
+				r := resourceOf(int(ei))
 				begin := e.time
 				if resourceFree[r] > begin {
 					begin = resourceFree[r]
@@ -201,12 +200,12 @@ func RunContended(s *schedule.Schedule, net Network, sink obs.Sink) (*Result, er
 				if sink != nil {
 					sendAt[ei] = begin
 					sink.MessageSend(obs.Message{
-						Edge: ei, From: edge.From, To: edge.To,
+						Edge: int(ei), From: edge.From, To: edge.To,
 						FromProc: int(s.Proc(edge.From)), ToProc: int(s.Proc(edge.To)),
 						Send: begin, Arrive: begin + cost,
 					})
 				}
-				heap.Push(&ev, event{time: begin + cost, kind: 1, id: ei})
+				heap.Push(&ev, event{time: begin + cost, kind: 1, id: int(ei)})
 			}
 			if nt := nextOnProc[t]; nt >= 0 {
 				prevDone[nt] = true

@@ -72,9 +72,8 @@ func TestSharedBusSerializesFanout(t *testing.T) {
 	s := schedule.New(g, machine.NewSystem(4))
 	s.Algorithm = "hand"
 	s.Place(0, 0, 0) // root
-	for i, se := 0, g.SuccEdges(0); i < se.Len(); i++ {
-		ei := se.At(i)
-		s.Place(g.Edge(ei).To, i+1, 5)
+	for i, ei := range g.SuccEdges(0) {
+		s.Place(g.Edge(int(ei)).To, i+1, 5)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

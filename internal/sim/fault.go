@@ -315,9 +315,8 @@ func (fr *faultRun) runEpoch(horizon float64) {
 			// Nothing has executed yet: every input is pending.
 			cnt += g.InDegree(t)
 		} else {
-			for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-				ei := pe.At(k)
-				if !fr.executed[g.Edge(ei).From] {
+			for _, ei := range g.PredEdges(t) {
+				if !fr.executed[g.Edge(int(ei)).From] {
 					cnt++
 				}
 			}
@@ -338,9 +337,8 @@ func (fr *faultRun) runEpoch(horizon float64) {
 			start = fr.res.Finish[pt]
 		}
 		tries, delay := 0, 0.0
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e := g.Edge(ei)
+		for _, ei := range g.PredEdges(t) {
+			e := g.Edge(int(ei))
 			arrive := fr.res.Finish[e.From]
 			fp := fr.curProc[e.From]
 			if !fr.alive[fp] {
@@ -376,9 +374,8 @@ func (fr *faultRun) runEpoch(horizon float64) {
 		if fr.sink != nil {
 			fr.emitTask(t, p)
 		}
-		for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-			ei := se.At(k)
-			to := g.Edge(ei).To
+		for _, ei := range g.SuccEdges(t) {
+			to := g.Edge(int(ei)).To
 			fr.pendingCnt[to]--
 			if fr.pendingCnt[to] == 0 {
 				fr.queue = append(fr.queue, to)
@@ -410,9 +407,8 @@ func (fr *faultRun) emitTask(t int, p machine.Proc) {
 	g := fr.s.Graph()
 	span := obs.TaskEvent{Task: t, Proc: int(p), Start: fr.res.Start[t], Finish: fr.res.Finish[t]}
 	fr.sink.TaskStart(span)
-	for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-		ei := pe.At(k)
-		e := g.Edge(ei)
+	for _, ei := range g.PredEdges(t) {
+		e := g.Edge(int(ei))
 		fp := fr.curProc[e.From]
 		send := fr.res.Finish[e.From]
 		var arrive float64
@@ -424,7 +420,7 @@ func (fr *faultRun) emitTask(t int, p machine.Proc) {
 			continue
 		}
 		m := obs.Message{
-			Edge: ei, From: e.From, To: t,
+			Edge: int(ei), From: e.From, To: t,
 			FromProc: int(fp), ToProc: int(p),
 			Send: send, Arrive: arrive,
 			Retries: fr.tries[ei], RetryDelay: fr.extra[ei],
@@ -477,9 +473,8 @@ func (fr *faultRun) revokeLost(c fault.Crash, noCheckpoint bool) {
 				if fr.executed[t] {
 					continue
 				}
-				for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-					ei := pe.At(k)
-					from := g.Edge(ei).From
+				for _, ei := range g.PredEdges(t) {
+					from := g.Edge(int(ei)).From
 					if fr.executed[from] && fr.curProc[from] == c.Proc {
 						fr.revoke(from)
 						revoked = append(revoked, from)

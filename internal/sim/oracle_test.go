@@ -106,9 +106,8 @@ func runReference(s *schedule.Schedule, perturbComp, perturbComm Perturb, sink o
 		if pt := prevOnProc[t]; pt >= 0 {
 			start = res.Finish[pt]
 		}
-		for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e := g.Edge(ei)
+		for _, ei := range g.PredEdges(t) {
+			e := g.Edge(int(ei))
 			arrive := res.Finish[e.From]
 			if s.Proc(e.From) != s.Proc(t) {
 				arrive += sys.CommCost(comm[ei], s.Proc(e.From), s.Proc(t))
@@ -130,15 +129,14 @@ func runReference(s *schedule.Schedule, perturbComp, perturbComm Perturb, sink o
 		if sink != nil {
 			span := obs.TaskEvent{Task: t, Proc: int(s.Proc(t)), Start: start, Finish: res.Finish[t]}
 			sink.TaskStart(span)
-			for k, pe := 0, g.PredEdges(t); k < pe.Len(); k++ {
-				ei := pe.At(k)
-				e := g.Edge(ei)
+			for _, ei := range g.PredEdges(t) {
+				e := g.Edge(int(ei))
 				if s.Proc(e.From) == s.Proc(t) {
 					continue
 				}
 				send := res.Finish[e.From]
 				m := obs.Message{
-					Edge: ei, From: e.From, To: t,
+					Edge: int(ei), From: e.From, To: t,
 					FromProc: int(s.Proc(e.From)), ToProc: int(s.Proc(t)),
 					Send: send, Arrive: send + sys.CommCost(comm[ei], s.Proc(e.From), s.Proc(t)),
 				}
@@ -149,9 +147,8 @@ func runReference(s *schedule.Schedule, perturbComp, perturbComm Perturb, sink o
 		}
 		// Release dependents: precedence successors and the next task in
 		// the processor chain.
-		for k, se := 0, g.SuccEdges(t); k < se.Len(); k++ {
-			ei := se.At(k)
-			to := g.Edge(ei).To
+		for _, ei := range g.SuccEdges(t) {
+			to := g.Edge(int(ei)).To
 			pending[to]--
 			if pending[to] == 0 {
 				queue = append(queue, to)

@@ -122,9 +122,8 @@ func TestPrecedenceRespectedUnderJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for t2 := 0; t2 < g.NumTasks(); t2++ {
-		for k, pe := 0, g.PredEdges(t2); k < pe.Len(); k++ {
-			ei := pe.At(k)
-			e := g.Edge(ei)
+		for _, ei := range g.PredEdges(t2) {
+			e := g.Edge(int(ei))
 			if res.Start[t2] < res.Finish[e.From]-1e-9 {
 				t.Fatalf("task %d starts before predecessor %d finishes", t2, e.From)
 			}

@@ -79,6 +79,10 @@ type ServiceStats struct {
 	QueueDepth int     `json:"queue_depth"`
 	Inflight   int64   `json:"inflight"`
 
+	// Requests counts /schedule submissions; each ends in exactly one of
+	// the outcome counters after it (Panics ticks inside Internal).
+	// ShedDeadline counts the 503s of jobs whose context ended first:
+	// deadline lapsed or client gone while queued, or canceled mid-run.
 	Requests      int64 `json:"requests"`
 	OK            int64 `json:"ok_2xx"`
 	BadRequest    int64 `json:"bad_request_4xx"`

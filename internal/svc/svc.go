@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"flb"
+	"flb/internal/algo/registry"
 	"flb/internal/fault"
 	"flb/internal/graph"
 	"flb/internal/machine"
@@ -72,8 +73,9 @@ type Config struct {
 	// MaxBodyBytes caps a submission body; <= 0 selects 8 MiB.
 	MaxBodyBytes int64
 	// MaxTasks and MaxEdges cap parsed graphs; 0 selects the graph
-	// package defaults. The same values bound the parsers and are
-	// reported in /metrics, so documented and enforced limits agree.
+	// package defaults and a negative value graph.MaxCSR. The same
+	// values bound the parsers and are reported in /metrics, so
+	// documented and enforced limits agree.
 	MaxTasks, MaxEdges int
 	// BaseSeed seeds the deterministic defaults: the scheduling seed of
 	// submissions that carry none, and the per-request execution
@@ -343,7 +345,7 @@ func (s *Server) schedule(w *par.Worker, rec *obs.Recorder, j *job) (*scheduleRe
 			out = cold
 		}
 	} else {
-		a, err := w.Algorithm(j.algo, j.seed)
+		a, err := registry.New(j.algo, j.seed)
 		if err != nil {
 			return nil, 500, err.Error()
 		}
@@ -363,6 +365,9 @@ func (s *Server) schedule(w *par.Worker, rec *obs.Recorder, j *job) (*scheduleRe
 			flb.WithObserver(rec))
 		if err != nil {
 			if j.ctx.Err() != nil {
+				// The client left (or the deadline lapsed) mid-run: counted
+				// with the queue sheds, because countStatus skips 503s.
+				s.nShedDeadline.Add(1)
 				return nil, 503, "canceled: " + err.Error()
 			}
 			return nil, 500, err.Error()

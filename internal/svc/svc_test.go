@@ -416,6 +416,68 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	}
 }
 
+// TestClientGoneMidRunIsCounted holds an execute=1 job in the test hook,
+// cancels its client, then releases it: Execute sees the canceled context
+// and the job answers 503 "canceled". /metrics must still account for the
+// request in one outcome counter, shed_deadline_503.
+func TestClientGoneMidRunIsCounted(t *testing.T) {
+	held := make(chan *job, 1)
+	release := make(chan struct{})
+	cfg := Config{Workers: 1, QueueCap: 4, testHook: func(j *job) {
+		held <- j
+		<-release
+	}}
+	e := newTestServer(t, cfg)
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.ts.URL+"/schedule?execute=1", strings.NewReader(textBody("gone", 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := e.ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	var j *job
+	select {
+	case j = <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never picked up the job")
+	}
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("canceled client still got a response")
+	}
+	select {
+	case <-j.ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("job context still live after its client left")
+	}
+	close(release)
+	waitFor(t, "the job to finish", func() bool { return e.s.inflight.Load() == 0 })
+
+	sv := e.metrics(t).Service
+	outcomes := sv.OK + sv.BadRequest + sv.TooLarge + sv.ShedQueueFull + sv.ShedDeadline + sv.Unavailable + sv.Internal
+	if sv.Requests != 1 || outcomes != sv.Requests {
+		t.Errorf("requests = %d, outcome counters sum to %d (%+v), want 1 and 1", sv.Requests, outcomes, sv)
+	}
+	if sv.ShedDeadline != 1 {
+		t.Errorf("shed_deadline = %d, want 1", sv.ShedDeadline)
+	}
+}
+
 // TestPanicIsolation panics inside one job and verifies the request gets
 // a 500 while the daemon and its worker keep serving.
 func TestPanicIsolation(t *testing.T) {
