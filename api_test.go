@@ -1,6 +1,7 @@
 package flb_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -119,6 +120,28 @@ func TestCustomCommModel(t *testing.T) {
 	// all-local run.
 	if s.Makespan() <= 0 {
 		t.Error("empty makespan")
+	}
+}
+
+// TestRunRejectsInvalidCommModel: a LatencyBandwidth model with a
+// negative or NaN latency or a bandwidth that is not > 0 fails system
+// validation with an error from every algorithm, instead of panicking in
+// FLB's classification (every arrival below 0 leaves no enabling
+// processor) or returning a schedule with negative message delays.
+func TestRunRejectsInvalidCommModel(t *testing.T) {
+	nan := math.NaN()
+	for _, m := range []flb.LatencyBandwidth{
+		{Latency: -100, Bandwidth: 1},
+		{Latency: nan, Bandwidth: 1},
+		{Latency: 1, Bandwidth: nan},
+		{Latency: 1, Bandwidth: -1},
+	} {
+		sys := flb.NewSystem(4, flb.WithComm(m))
+		for _, name := range flb.Algorithms() {
+			if _, err := flb.Run(flb.LU(10), flb.WithSystem(sys), flb.WithAlgorithm(name)); err == nil || !strings.HasPrefix(err.Error(), "machine: ") {
+				t.Errorf("%s with %+v: err = %v, want a machine validation error", name, m, err)
+			}
+		}
 	}
 }
 

@@ -26,6 +26,19 @@
 // (keyed by PRT). All task-level ties break on larger bottom level — "the
 // task with the longest path to any exit task" — then smaller task ID.
 //
+// One iteration runs scheduleTask (the paper's ScheduleTask), places the
+// winner, then updateTaskLists, updateReadyTasks and updateProcLists. The
+// paper runs UpdateProcLists before UpdateReadyTasks; running it last lets
+// it refresh each processor's active-list entry once per step — the
+// placing processor and every processor whose EP list just grew — instead
+// of removing a processor whose EP list emptied only for classification
+// to push it straight back. Nothing reads the processor lists in between,
+// so every decision is the same. classifyReady reads each predecessor
+// edge once: EP's effective message arrival time is taken from the
+// arrivals the LMT pass already computed, which relies on the
+// machine.CommModel contract (0 within a processor, one cost between any
+// two distinct processors).
+//
 // All of the algorithm's working state lives in a reusable arena
 // (Scheduler); the stateless FLB.Schedule entry point draws arenas from a
 // sync.Pool, so its steady-state cost is the fresh output Schedule plus
@@ -189,7 +202,24 @@ type flbState struct {
 	//flb:keep fully rebuilt by buildClasses on heterogeneous runs; never read on homogeneous ones
 	classPRT []pq.Heap // per class: procs keyed by (PRT)
 
+	// Per-step scratch. classifyReady records each predecessor's message
+	// in preds, and each processor whose EP list grew in grown (grownMark
+	// deduplicates); updateProcLists refreshes those processors' active
+	// keys once and empties the list.
+	//flb:keep truncated by every classifyReady before it is read
+	preds     []predArrival
+	grown     []machine.Proc
+	grownMark []bool
+
 	ready algo.ReadyTracker
+}
+
+// predArrival is one predecessor's message to a task being classified:
+// the producer's finish time (the arrival on its own processor), its
+// arrival on any other processor, and the producer's processor.
+type predArrival struct {
+	finish, remote float64
+	proc           machine.Proc
 }
 
 // reset prepares the arena for one run of f over g on sys, writing the
@@ -230,6 +260,9 @@ func (st *flbState) reset(f FLB, g *graph.Graph, sys machine.System, s *schedule
 	st.nonEP.Grow(n)
 	st.active.Grow(p)
 	st.all.Grow(p)
+	st.grown = st.grown[:0]
+	st.grownMark = growBool(st.grownMark, p)
+	clear(st.grownMark)
 	st.hetero = sys.Heterogeneous()
 	if st.hetero {
 		st.buildClasses(p)
@@ -346,8 +379,8 @@ func (st *flbState) run() error {
 		}
 		st.s.Place(t, p, est)
 		st.updateTaskLists(p)
-		st.updateProcLists(p)
 		st.updateReadyTasks(t)
+		st.updateProcLists(p)
 	}
 	if st.sink != nil {
 		st.sink.End(obs.End{Kind: obs.KindSchedule, Makespan: st.s.Makespan()})
@@ -370,11 +403,12 @@ func growProc(v []machine.Proc, n int) []machine.Proc {
 }
 
 // estEP returns the estimated start time of EP task t on its enabling
-// processor p.
+// processor p. The builtin max orders ±0 and NaN exactly as math.Max does
+// and compiles inline.
 //
 //flb:hotpath
 func (st *flbState) estEP(t int, p machine.Proc) float64 {
-	return math.Max(st.emt[t], st.s.PRT(p))
+	return max(st.emt[t], st.s.PRT(p))
 }
 
 // execTime returns the execution time of task t on processor p under the
@@ -416,7 +450,7 @@ func (st *flbState) bestNonEPProc(t int) (machine.Proc, float64, float64) {
 		if !found {
 			continue // unreachable: every processor stays in its class heap
 		}
-		est := math.Max(lmt, st.s.PRT(p))
+		est := max(lmt, st.s.PRT(p))
 		eft := est + w/st.classSpeed[c]
 		if eft < bestEFT {
 			bp, bestEst, bestEFT = p, est, eft
@@ -473,7 +507,7 @@ func (st *flbState) scheduleTask(iter int) (task int, proc machine.Proc, est flo
 		} else {
 			p, _, _ := st.all.Peek()
 			p2 = p
-			est2 = math.Max(st.lmt[t2], st.s.PRT(p2))
+			est2 = max(st.lmt[t2], st.s.PRT(p2))
 			cmp2 = est2
 		}
 	}
@@ -547,17 +581,23 @@ func (st *flbState) updateTaskLists(p machine.Proc) {
 	}
 }
 
-// updateProcLists implements the paper's UpdateProcLists: refresh p's
-// priority in (or remove it from) the active-processor list, and refresh
-// its PRT key in the global processor list.
+// updateProcLists implements the paper's UpdateProcLists: refresh the
+// active-list priority of p and of every processor whose EP list grew in
+// this step, once each, then p's PRT key in the global processor list.
+// It runs after updateReadyTasks, so a processor whose EP list empties
+// and refills in the same step keeps its active entry instead of leaving
+// and re-entering the heap.
 //
 //flb:hotpath
 func (st *flbState) updateProcLists(p machine.Proc) {
-	if t, _, found := st.emtEP[p].Peek(); found {
-		st.active.PushOrUpdate(p, pq.Key{Primary: st.activeKey(t, p), Secondary: st.blKey(t)})
-	} else {
-		st.active.Remove(p)
+	st.refreshActive(p)
+	for _, q := range st.grown {
+		st.grownMark[q] = false
+		if q != p {
+			st.refreshActive(q)
+		}
 	}
+	st.grown = st.grown[:0]
 	if st.hetero {
 		st.classPRT[st.classOf[p]].Update(p, pq.Key{Primary: st.s.PRT(p)})
 	} else {
@@ -565,9 +605,21 @@ func (st *flbState) updateProcLists(p machine.Proc) {
 	}
 }
 
+// refreshActive keys processor q in the active list by the EST (EFT on a
+// related machine) of its best EP task, or removes q when it has none.
+//
+//flb:hotpath
+func (st *flbState) refreshActive(q machine.Proc) {
+	if t, _, found := st.emtEP[q].Peek(); found {
+		st.active.PushOrUpdate(q, pq.Key{Primary: st.activeKey(t, q), Secondary: st.blKey(t)})
+	} else {
+		st.active.Remove(q)
+	}
+}
+
 // updateReadyTasks implements the paper's UpdateReadyTasks: classify every
 // task made ready by t's placement as EP or non-EP and insert it into the
-// corresponding lists, updating the enabling processor's active priority.
+// corresponding lists.
 //
 //flb:hotpath
 func (st *flbState) updateReadyTasks(t int) {
@@ -577,20 +629,29 @@ func (st *flbState) updateReadyTasks(t int) {
 }
 
 // classifyReady computes LMT, EP and EMT for the newly ready task nt and
-// files it into the right list.
+// files it into the right list, recording EP in grown when nt joins its EP
+// list.
 //
-// EMT follows the convention validated against Table 1 (DESIGN.md §5):
-// messages from predecessors on the enabling processor cost their
-// producer's finish time only. Because FT(pred on p) <= PRT(p), the
-// resulting EST = max(EMT, PRT) is identical to the paper's definition.
+// It reads each predecessor edge once. EMT follows the convention
+// validated against Table 1 (DESIGN.md §5): a message from a predecessor
+// on the enabling processor arrives at its producer's finish time, and
+// one from any other processor at the remote arrival the LMT pass already
+// computed. That is Schedule.DataReady(nt, EP) bit for bit, because a
+// comm model charges 0 within a processor and the same cost between any
+// two distinct processors (machine.CommModel). Because FT(pred on p) <=
+// PRT(p), the resulting EST = max(EMT, PRT) is identical to the paper's
+// definition.
 //
 //flb:hotpath
 func (st *flbState) classifyReady(nt int) {
 	lmt, ep := 0.0, machine.Proc(-1)
+	preds := st.preds[:0]
 	for _, ei := range st.g.PredEdges(nt) {
 		e := st.g.Edge(int(ei))
-		arrive := st.s.Finish(e.From) + st.sys.RemoteCost(e.Comm)
+		finish := st.s.Finish(e.From)
+		arrive := finish + st.sys.RemoteCost(e.Comm)
 		p := st.s.Proc(e.From)
+		preds = append(preds, predArrival{finish: finish, remote: arrive, proc: p})
 		// Last message arrival and its source processor; arrival ties break
 		// toward the smaller processor index (DESIGN.md §5, required to
 		// reproduce Table 1).
@@ -599,6 +660,7 @@ func (st *flbState) classifyReady(nt int) {
 			lmt, ep = arrive, p
 		}
 	}
+	st.preds = preds
 	st.lmt[nt] = lmt
 	st.ep[nt] = ep
 
@@ -612,11 +674,14 @@ func (st *flbState) classifyReady(nt int) {
 		}
 		return
 	}
-	// EP type: compute the effective message arrival time on ep.
+	// EP type: the effective message arrival time on ep, where messages
+	// from ep's own tasks are free.
 	emt := 0.0
-	for _, ei := range st.g.PredEdges(nt) {
-		e := st.g.Edge(int(ei))
-		a := st.s.ArrivalTime(e, ep)
+	for _, r := range preds {
+		a := r.remote
+		if r.proc == ep {
+			a = r.finish
+		}
 		if a > emt {
 			emt = a
 		}
@@ -627,9 +692,8 @@ func (st *flbState) classifyReady(nt int) {
 	}
 	st.emtEP[ep].Push(nt, pq.Key{Primary: emt, Secondary: st.blKey(nt)})
 	st.lmtEP[ep].Push(nt, pq.Key{Primary: lmt, Secondary: st.blKey(nt)})
-	// The enabling processor may have become active, or its best EP task
-	// may have changed.
-	if head, _, found := st.emtEP[ep].Peek(); found {
-		st.active.PushOrUpdate(ep, pq.Key{Primary: st.activeKey(head, ep), Secondary: st.blKey(head)})
+	if !st.grownMark[ep] {
+		st.grownMark[ep] = true
+		st.grown = append(st.grown, ep)
 	}
 }

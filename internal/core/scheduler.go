@@ -109,6 +109,10 @@ func (st *flbState) grow(v, p int) {
 	st.nonEP.Grow(v)
 	st.active.Grow(p)
 	st.all.Grow(p)
+	st.grownMark = growBool(st.grownMark, p)
+	if cap(st.grown) < p {
+		st.grown = make([]machine.Proc, 0, p)
+	}
 	st.ready.Grow(v)
 }
 

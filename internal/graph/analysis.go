@@ -79,8 +79,10 @@ func (g *Graph) ParallelismProfile() []int {
 }
 
 // AvgParallelism returns total computation divided by the comp+comm
-// critical path — an upper bound on achievable speedup on any number of
-// processors under the paper's model. Returns 0 for an empty graph.
+// critical path: the speedup a schedule achieves if it pays every message
+// on that path. It is not an upper bound on speedup, because co-located
+// tasks exchange messages for free (see CriticalPath). Returns 0 for an
+// empty graph.
 func (g *Graph) AvgParallelism() float64 {
 	if len(g.tasks) == 0 {
 		return 0

@@ -81,9 +81,11 @@ func (g *Graph) StaticLevels() []float64 {
 }
 
 // CriticalPath returns the length of the longest comp+comm path in the
-// graph (including both endpoint computations). This is the schedule length
-// on one "infinitely fast communication" processor bound from below, and
-// the basis of MCP's latest-possible-start-time priorities.
+// graph (including both endpoint computations): the schedule length when
+// every message is paid, and the basis of MCP's latest-possible-start-time
+// priorities. It is not a lower bound on a schedule's makespan: messages
+// between tasks on one processor are free, so co-locating a chain
+// shortens it (the longest comp-only path is one on unit-speed processors).
 func (g *Graph) CriticalPath() float64 {
 	bl := g.BottomLevels()
 	var cp float64

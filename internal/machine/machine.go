@@ -29,10 +29,17 @@ type Proc = int
 
 // CommModel converts an edge's communication weight into a delay for a
 // message from processor `from` to processor `to`.
+//
+// The schedulers rely on three rules for every weight w >= 0: Cost is >= 0
+// and not NaN; it is 0 when from == to (intra-processor communication is
+// free, paper §2); and it is the same for every pair of distinct
+// processors (the paper's clique is homogeneous). FLB's last message
+// arrival time (System.RemoteCost), its one-pass effective message
+// arrival time on the enabling processor, and the online rescheduler's
+// cold start onto a compacted survivor set all depend on the last rule.
 type CommModel interface {
 	// Cost returns the communication delay of a message with weight w sent
-	// from processor from to processor to. Implementations must return 0
-	// when from == to (intra-processor communication is free, paper §2).
+	// from processor from to processor to.
 	Cost(w float64, from, to Proc) float64
 	// Name identifies the model in reports.
 	Name() string
@@ -57,7 +64,7 @@ func (Clique) Name() string { return "clique" }
 // between distinct processors. It exercises the same scheduler code paths
 // with a more realistic network, and is used by the pipeline example.
 type LatencyBandwidth struct {
-	Latency   float64 // fixed per-message start-up cost
+	Latency   float64 // fixed per-message start-up cost; finite and >= 0
 	Bandwidth float64 // weight units per time unit; must be > 0
 }
 
@@ -113,10 +120,21 @@ func CanonicalSpeeds(speeds []float64) []float64 {
 	return out
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: P < 1, a speed vector of the
+// wrong length or with an entry that is not finite and > 0, and a
+// LatencyBandwidth model whose latency is not finite and >= 0 or whose
+// bandwidth is not > 0.
 func (s System) Validate() error {
 	if s.P < 1 {
 		return fmt.Errorf("machine: P = %d, want >= 1", s.P)
+	}
+	if m, ok := s.Comm.(LatencyBandwidth); ok {
+		if math.IsNaN(m.Latency) || math.IsInf(m.Latency, 0) || m.Latency < 0 {
+			return fmt.Errorf("machine: latency = %v, want finite and >= 0", m.Latency)
+		}
+		if !(m.Bandwidth > 0) {
+			return fmt.Errorf("machine: bandwidth = %v, want > 0", m.Bandwidth)
+		}
 	}
 	if s.Speeds != nil {
 		if len(s.Speeds) != s.P {

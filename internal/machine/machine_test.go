@@ -73,6 +73,39 @@ func TestSystemValidate(t *testing.T) {
 	}
 }
 
+// TestCommValidate checks that Validate rejects a LatencyBandwidth model
+// that would produce negative or NaN message delays, naming the field.
+func TestCommValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		m     LatencyBandwidth
+		field string // "" = valid
+	}{
+		{LatencyBandwidth{Latency: 1, Bandwidth: 2}, ""},
+		{LatencyBandwidth{Latency: 0, Bandwidth: 0.5}, ""},
+		{LatencyBandwidth{Latency: 1, Bandwidth: inf}, ""},
+		{LatencyBandwidth{Latency: -100, Bandwidth: 1}, "latency"},
+		{LatencyBandwidth{Latency: nan, Bandwidth: 1}, "latency"},
+		{LatencyBandwidth{Latency: inf, Bandwidth: 1}, "latency"},
+		{LatencyBandwidth{Latency: -inf, Bandwidth: 1}, "latency"},
+		{LatencyBandwidth{Latency: 1, Bandwidth: nan}, "bandwidth"},
+		{LatencyBandwidth{Latency: 1, Bandwidth: 0}, "bandwidth"},
+		{LatencyBandwidth{Latency: 1, Bandwidth: -1}, "bandwidth"},
+		{LatencyBandwidth{Latency: 1, Bandwidth: -inf}, "bandwidth"},
+	}
+	for _, c := range cases {
+		err := System{P: 2, Comm: c.m}.Validate()
+		switch {
+		case c.field == "" && err != nil:
+			t.Errorf("%+v rejected: %v", c.m, err)
+		case c.field != "" && err == nil:
+			t.Errorf("%+v accepted", c.m)
+		case c.field != "" && !strings.HasPrefix(err.Error(), "machine: "+c.field+" = "):
+			t.Errorf("%+v: error %q does not name %s", c.m, err, c.field)
+		}
+	}
+}
+
 func TestSpeedsValidate(t *testing.T) {
 	if err := (System{P: 2, Speeds: []float64{2, 1}}).Validate(); err != nil {
 		t.Errorf("valid speeds rejected: %v", err)

@@ -1,19 +1,40 @@
 package pq
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
+
+// fuzzKeys is FuzzHeap's key alphabet: the small integers 0-7, so ties
+// are common, then the values where an order-preserving float encoding
+// can go wrong — the infinities, the largest finite magnitudes, −1, the
+// smallest subnormals and both zeros. A key byte indexes it modulo its
+// length; −0 sits at index 13 and +0 at index 0.
+var fuzzKeys = []float64{
+	0, 1, 2, 3, 4, 5, 6, 7,
+	math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
+	math.SmallestNonzeroFloat64, math.Copysign(0, -1), math.MaxFloat64, math.Inf(1),
+}
 
 // FuzzHeap drives two heaps sharing one position store through a random
 // operation sequence and checks them against a map-based reference model:
 // membership, keys, and — after every mutation batch — the full pop order
 // against a sort by the same (primary, secondary, id) total order. It also
 // exercises Reset-and-reuse, the lifecycle the scheduler arenas depend on.
+// Keys are drawn from fuzzKeys; the oracle compares with Key.Less and ==,
+// under which −0 and +0 are the same key.
 func FuzzHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 2, 3, 0, 9, 0, 17, 4, 4})
 	f.Add([]byte{9, 0, 8, 1, 7, 2, 6, 3, 5, 4, 0xff, 0xfe})
+	// −0 and +0 primaries tie and fall through to the secondary key, then
+	// (with −0/+0 secondaries too) to the id; then a pop drains them.
+	f.Add([]byte{0, 3, 13, 2, 0, 1, 0, 1, 0, 2, 13, 13, 0, 0, 0, 0, 1, 0, 0, 0})
+	f.Add([]byte{0, 5, 13, 13, 0, 4, 0, 0, 0, 6, 13, 0, 0, 7, 0, 13, 1, 0, 0, 0, 1, 0, 0, 0})
+	// Every special value as a primary, pushed in descending order.
+	f.Add([]byte{0, 0, 15, 0, 0, 1, 14, 0, 0, 2, 12, 0, 0, 3, 13, 0, 0, 4, 0, 0,
+		0, 5, 11, 0, 0, 6, 10, 0, 0, 7, 9, 0, 0, 8, 8, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 16 // id universe; small so collisions are common
 		pos := NewPos(n)
@@ -32,7 +53,7 @@ func FuzzHeap(f *testing.F) {
 			op := next(&i)
 			h := int(op>>6) & 1 // which heap
 			id := int(next(&i)) % n
-			key := Key{Primary: float64(next(&i) % 8), Secondary: float64(next(&i) % 4)}
+			key := Key{Primary: fuzzKeys[int(next(&i))%len(fuzzKeys)], Secondary: fuzzKeys[int(next(&i))%len(fuzzKeys)]}
 			switch op % 5 {
 			case 0:
 				// Push is only legal for absent ids: an id may live in at

@@ -9,14 +9,21 @@
 // non-negative integer ids (task ids or processor ids), so the position
 // index is a dense slice rather than a map.
 //
-// The implementation is a cache-friendly flat 4-ary heap: ids and the two
-// key components live in parallel slices rather than a slice of structs,
-// so sift-down touches one contiguous run of four children per level and
-// the tree is half as deep as a binary heap's. The pop order is defined
-// entirely by Key.Less — a total order — so it is independent of the heap
-// arity and layout; switching the representation cannot change which item
-// any Peek/Pop returns.
+// The implementation is a flat 4-ary heap of 24-byte records: each entry
+// holds both key components, encoded as order-preserving unsigned
+// integers, next to its id, so the tree is half as deep as a binary
+// heap's and a comparison is one three-word subtract-with-borrow chain
+// with no data-dependent branch. Sifts carry the moving record in a hole
+// and write it once. The pop order is defined entirely by Key.Less — a
+// total order — so it is independent of the heap arity, layout and key
+// encoding; switching the representation cannot change which item any
+// Peek/Pop returns.
 package pq
+
+import (
+	"math"
+	"math/bits"
+)
 
 // Key is a lexicographic priority: smaller keys are dequeued first.
 //
@@ -25,6 +32,9 @@ package pq
 // with the longest path to any exit task": callers store the *negated*
 // bottom level so that larger bottom levels sort first. Remaining ties fall
 // back to the item id, making every heap fully deterministic.
+//
+// Components must not be NaN. −0 and +0 are equal keys, as under ==, and
+// a heap reads either back as +0.
 type Key struct {
 	Primary   float64
 	Secondary float64
@@ -46,17 +56,65 @@ func (k Key) Less(id int, other Key, otherID int) bool {
 }
 
 // arity is the branching factor. Four children per node halves the tree
-// depth of a binary heap while still letting sift-down scan all children
-// from one cache line of the key slice.
+// depth of a binary heap; sift-down scans the four child records, 96
+// contiguous bytes, per level.
 const arity = 4
+
+// item is one heap entry: the key components in their order-preserving
+// encoding (see enc) and the id.
+type item struct {
+	prim, sec uint64
+	id        int
+}
+
+// enc maps a non-NaN float to a uint64 that orders as < orders the floats.
+// Adding +0 folds −0 into +0, so the two stay equal keys. Negative floats
+// are complemented (their magnitude order is reversed and they land below
+// every non-negative float); the rest get their sign bit set.
+//
+//flb:hotpath
+func enc(x float64) uint64 {
+	b := math.Float64bits(x + 0)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// dec inverts enc (up to the −0 fold).
+//
+//flb:hotpath
+func dec(u uint64) float64 {
+	return math.Float64frombits(u ^ (uint64(int64(^u)>>63) | 1<<63))
+}
+
+// mk encodes an entry.
+//
+//flb:hotpath
+func mk(id int, key Key) item {
+	return item{prim: enc(key.Primary), sec: enc(key.Secondary), id: id}
+}
+
+// key decodes an entry's key.
+func (it item) key() Key {
+	return Key{Primary: dec(it.prim), Secondary: dec(it.sec)}
+}
+
+// less orders entries as Key.Less orders their keys: it compares
+// (prim, sec, id) as one 192-bit unsigned number, which is smaller exactly
+// when the subtraction a − b borrows out of its top word. Ids are
+// non-negative, so their uint64 image keeps their order.
+//
+//flb:hotpath
+func less(a, b item) bool {
+	_, borrow := bits.Sub64(uint64(a.id), uint64(b.id), 0)
+	_, borrow = bits.Sub64(a.sec, b.sec, borrow)
+	_, borrow = bits.Sub64(a.prim, b.prim, borrow)
+	return borrow != 0
+}
 
 // Heap is an indexed 4-ary min-heap over items with dense integer ids in
 // [0, capacity). The zero value is an empty heap with no position store;
 // construct with New, NewShared, or (for reusable arenas) Init.
 type Heap struct {
-	ids  []int
-	prim []float64
-	sec  []float64
+	items []item
 	// pos[id] is the index of id in this heap (or a sibling heap sharing
 	// the store), or -1 if id is not enqueued.
 	pos []int
@@ -104,9 +162,7 @@ func NewShared(pos []int) *Heap {
 // clears the whole store). It makes heap values embedded in scheduler
 // arenas reusable without reallocation.
 func (h *Heap) Init(pos []int) {
-	h.ids = h.ids[:0]
-	h.prim = h.prim[:0]
-	h.sec = h.sec[:0]
+	h.items = h.items[:0]
 	h.pos = pos
 }
 
@@ -115,12 +171,10 @@ func (h *Heap) Init(pos []int) {
 // capacity for reuse. The heap must be re-grown with Grow before ids
 // beyond its current position-store capacity are pushed.
 func (h *Heap) Reset() {
-	for _, id := range h.ids {
-		h.pos[id] = -1
+	for _, it := range h.items {
+		h.pos[it.id] = -1
 	}
-	h.ids = h.ids[:0]
-	h.prim = h.prim[:0]
-	h.sec = h.sec[:0]
+	h.items = h.items[:0]
 }
 
 // Grow empties the heap and ensures its (non-shared) position store covers
@@ -131,19 +185,19 @@ func (h *Heap) Grow(capacity int) {
 }
 
 // Len returns the number of enqueued items.
-func (h *Heap) Len() int { return len(h.ids) }
+func (h *Heap) Len() int { return len(h.items) }
 
 // Empty reports whether the heap holds no items.
-func (h *Heap) Empty() bool { return len(h.ids) == 0 }
+func (h *Heap) Empty() bool { return len(h.items) == 0 }
 
 // indexOf returns id's index in this heap, or -1. With a shared position
-// store, pos[id] may refer to a sibling heap's slot; the ids check
-// filters that out.
+// store, pos[id] may refer to a sibling heap's slot; the id check filters
+// that out.
 //
 //flb:hotpath
 func (h *Heap) indexOf(id int) int {
 	p := h.pos[id]
-	if p < 0 || p >= len(h.ids) || h.ids[p] != id {
+	if p < 0 || p >= len(h.items) || h.items[p].id != id {
 		return -1
 	}
 	return p
@@ -158,7 +212,7 @@ func (h *Heap) Key(id int) Key {
 	if p < 0 {
 		panic("pq: Key of item not in heap")
 	}
-	return Key{Primary: h.prim[p], Secondary: h.sec[p]}
+	return h.items[p].key()
 }
 
 // Push inserts id with the given key. It panics if id is already enqueued;
@@ -169,11 +223,8 @@ func (h *Heap) Push(id int, key Key) {
 	if h.indexOf(id) >= 0 {
 		panic("pq: Push of item already in heap")
 	}
-	h.ids = append(h.ids, id)
-	h.prim = append(h.prim, key.Primary)
-	h.sec = append(h.sec, key.Secondary)
-	h.pos[id] = len(h.ids) - 1
-	h.up(len(h.ids) - 1)
+	h.items = append(h.items, item{})
+	h.up(len(h.items)-1, mk(id, key))
 }
 
 // Peek returns the id and key of the minimum item without removing it.
@@ -181,10 +232,10 @@ func (h *Heap) Push(id int, key Key) {
 //
 //flb:hotpath
 func (h *Heap) Peek() (id int, key Key, ok bool) {
-	if len(h.ids) == 0 {
+	if len(h.items) == 0 {
 		return 0, Key{}, false
 	}
-	return h.ids[0], Key{Primary: h.prim[0], Secondary: h.sec[0]}, true
+	return h.items[0].id, h.items[0].key(), true
 }
 
 // Pop removes and returns the minimum item. ok is false when the heap is
@@ -192,10 +243,10 @@ func (h *Heap) Peek() (id int, key Key, ok bool) {
 //
 //flb:hotpath
 func (h *Heap) Pop() (id int, key Key, ok bool) {
-	if len(h.ids) == 0 {
+	if len(h.items) == 0 {
 		return 0, Key{}, false
 	}
-	id, key = h.ids[0], Key{Primary: h.prim[0], Secondary: h.sec[0]}
+	id, key = h.items[0].id, h.items[0].key()
 	h.removeAt(0)
 	return id, key, true
 }
@@ -221,114 +272,92 @@ func (h *Heap) Update(id int, key Key) {
 	if p < 0 {
 		panic("pq: Update of item not in heap")
 	}
-	h.prim[p] = key.Primary
-	h.sec[p] = key.Secondary
-	if !h.up(p) {
-		h.down(p)
-	}
+	h.fix(p, mk(id, key))
 }
 
 // PushOrUpdate inserts id or, if already present, changes its key.
 //
 //flb:hotpath
 func (h *Heap) PushOrUpdate(id int, key Key) {
-	if h.indexOf(id) >= 0 {
-		h.Update(id, key)
+	if p := h.indexOf(id); p >= 0 {
+		h.fix(p, mk(id, key))
 		return
 	}
-	h.Push(id, key)
+	h.items = append(h.items, item{})
+	h.up(len(h.items)-1, mk(id, key))
 }
 
-// Items returns the ids currently enqueued, in unspecified order. It is
-// used by trace instrumentation to dump list contents; callers sort by Key.
-func (h *Heap) Items() []int {
-	out := make([]int, len(h.ids))
-	copy(out, h.ids)
-	return out
-}
-
+// removeAt deletes the entry at index p: the last record fills the hole.
+//
 //flb:hotpath
 func (h *Heap) removeAt(p int) {
-	last := len(h.ids) - 1
-	h.pos[h.ids[p]] = -1
-	if p != last {
-		h.ids[p] = h.ids[last]
-		h.prim[p] = h.prim[last]
-		h.sec[p] = h.sec[last]
-		h.pos[h.ids[p]] = p
-	}
-	h.ids = h.ids[:last]
-	h.prim = h.prim[:last]
-	h.sec = h.sec[:last]
-	if p < len(h.ids) {
-		if !h.up(p) {
-			h.down(p)
-		}
+	last := len(h.items) - 1
+	h.pos[h.items[p].id] = -1
+	it := h.items[last]
+	h.items = h.items[:last]
+	if p < last {
+		h.fix(p, it)
 	}
 }
 
-//flb:exact deterministic total-order comparator over the parallel key slices; must mirror Key.Less exactly
-//flb:hotpath
-func (h *Heap) less(i, j int) bool {
-	if h.prim[i] != h.prim[j] {
-		return h.prim[i] < h.prim[j]
-	}
-	if h.sec[i] != h.sec[j] {
-		return h.sec[i] < h.sec[j]
-	}
-	return h.ids[i] < h.ids[j]
-}
-
-//flb:hotpath
-func (h *Heap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.prim[i], h.prim[j] = h.prim[j], h.prim[i]
-	h.sec[i], h.sec[j] = h.sec[j], h.sec[i]
-	h.pos[h.ids[i]] = i
-	h.pos[h.ids[j]] = j
-}
-
-// up sifts the item at index i toward the root and reports whether it moved.
+// fix writes it into the hole at index i, sifting it toward the root if
+// it beats the parent and toward the leaves otherwise.
 //
 //flb:hotpath
-func (h *Heap) up(i int) bool {
-	moved := false
+func (h *Heap) fix(i int, it item) {
+	if i > 0 && less(it, h.items[(i-1)/arity]) {
+		h.up(i, it)
+	} else {
+		h.down(i, it)
+	}
+}
+
+// up moves the hole at index i toward the root past every parent it beats,
+// then writes it into the hole.
+//
+//flb:hotpath
+func (h *Heap) up(i int, it item) {
+	items, pos := h.items, h.pos
 	for i > 0 {
 		parent := (i - 1) / arity
-		if !h.less(i, parent) {
+		p := items[parent]
+		if !less(it, p) {
 			break
 		}
-		h.swap(i, parent)
+		items[i] = p
+		pos[p.id] = i
 		i = parent
-		moved = true
 	}
-	return moved
+	items[i] = it
+	pos[it.id] = i
 }
 
-// down sifts the item at index i toward the leaves.
+// down moves the hole at index i toward the leaves while its smallest
+// child beats it, then writes it into the hole.
 //
 //flb:hotpath
-func (h *Heap) down(i int) {
-	n := len(h.ids)
+func (h *Heap) down(i int, it item) {
+	items, pos := h.items, h.pos
+	n := len(items)
 	for {
 		first := arity*i + 1
 		if first >= n {
-			return
+			break
 		}
-		end := first + arity
-		if end > n {
-			end = n
-		}
-		smallest := first
+		end := min(first+arity, n)
+		smallest, best := first, items[first]
 		for c := first + 1; c < end; c++ {
-			if h.less(c, smallest) {
-				smallest = c
+			if less(items[c], best) {
+				smallest, best = c, items[c]
 			}
 		}
-		if !h.less(smallest, i) {
-			return
+		if !less(best, it) {
+			break
 		}
-		h.swap(i, smallest)
+		items[i] = best
+		pos[best.id] = i
 		i = smallest
 	}
+	items[i] = it
+	pos[it.id] = i
 }

@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -259,6 +260,35 @@ func TestKeyLess(t *testing.T) {
 	for _, c := range cases {
 		if got := c.a.Less(c.aid, c.b, c.bid); got != c.want {
 			t.Errorf("%s: Less = %v, want %v", c.descr, got, c.want)
+		}
+	}
+}
+
+// TestKeyEncoding checks the record comparator against Key.Less on every
+// pair of keys built from fuzzKeys, in both id orders, and that decoding
+// returns each key (−0 as +0).
+func TestKeyEncoding(t *testing.T) {
+	for _, x := range fuzzKeys {
+		want := x + 0
+		if got := dec(enc(x)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("dec(enc(%v)) = %v (bits %#x)", x, got, math.Float64bits(got))
+		}
+	}
+	if enc(math.Copysign(0, -1)) != enc(0) {
+		t.Error("−0 and +0 encode differently")
+	}
+	for _, a1 := range fuzzKeys {
+		for _, a2 := range fuzzKeys {
+			for _, b1 := range fuzzKeys {
+				for _, b2 := range fuzzKeys {
+					a, b := Key{a1, a2}, Key{b1, b2}
+					for _, ids := range [][2]int{{0, 1}, {1, 0}, {3, 3}} {
+						if got, want := less(mk(ids[0], a), mk(ids[1], b)), a.Less(ids[0], b, ids[1]); got != want {
+							t.Fatalf("less(%v#%d, %v#%d) = %v, Key.Less says %v", a, ids[0], b, ids[1], got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

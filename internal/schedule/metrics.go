@@ -17,8 +17,12 @@ type Metrics struct {
 	Speedup float64
 	// Efficiency = Speedup / P.
 	Efficiency float64
-	// SLR is the schedule length ratio Makespan / CriticalPath — a lower
-	// bound-normalized quality measure (>= 1 when CCR-free CP dominates).
+	// SLR is the schedule length ratio Makespan / CriticalPath, the
+	// paper-style normalized length. The critical path counts every
+	// message, and a schedule that co-locates a chain pays none of them,
+	// so the denominator is not a lower bound on the makespan and SLR can
+	// fall below 1: FLB puts a 3-task chain with comm 10 on one processor
+	// and reports SLR 0.130.
 	SLR float64
 	// Idle is the total processor idle time before the makespan.
 	Idle float64
