@@ -61,13 +61,15 @@ hetero:
 	$(GO) run ./cmd/flbbench -exp hetero
 
 # Facade benchmarks, plus the two that walk CSR edge windows hardest
-# (the memo fingerprint and FLB placement on LU at V≈2000) and the
-# indexed heap, the placement kernel's largest layer.
+# (the memo fingerprint and FLB placement on LU at V≈2000), the indexed
+# heap, the placement kernel's largest layer, and one cold flbd request
+# through the HTTP handler.
 bench:
 	$(GO) test -run '^$$' -bench 'Fig2|Scaling|Execute' -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkKeyOf$$' -benchmem ./internal/memo
 	$(GO) test -run '^$$' -bench '^BenchmarkFLB_LU2000_P32$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkPushPop$$' -benchmem ./internal/pq
+	$(GO) test -run '^$$' -bench '^BenchmarkServeMiss$$' -benchmem ./internal/svc
 
 # Million-task scale sweep, CI-quick configuration (10^5-task instances):
 # streaming build + compact-CSR footprint against the committed

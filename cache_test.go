@@ -46,38 +46,41 @@ func TestRunCachedVsCold(t *testing.T) {
 }
 
 // TestRunBatchCachedVsCold extends the serial-vs-pooled diff tests to
-// cached-vs-cold: at every worker count, a batch over a shared cache —
-// cold pass and fully warm pass — is byte-identical to the uncached
-// serial loop.
+// cached-vs-cold: at every worker count and machine size, a batch over a
+// shared cache — cold pass and fully warm pass — is byte-identical to the
+// uncached serial loop.
 func TestRunBatchCachedVsCold(t *testing.T) {
 	gs := batchGraphs(t)
-	want := make([]string, len(gs))
-	for i, g := range gs {
-		s, err := flb.Run(g, flb.WithSystem(flb.NewSystem(8)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = scheduleBytes(t, s)
-	}
-	for _, w := range batchWorkerCounts {
-		c := flb.NewScheduleCache(2 * len(gs))
-		for pass := 0; pass < 2; pass++ {
-			got, err := flb.RunBatch(gs, flb.WithSystem(flb.NewSystem(8)), flb.WithWorkers(w), flb.WithCache(c))
+	for _, p := range []int{2, 4, 8, 16} {
+		sys := flb.WithSystem(flb.NewSystem(p))
+		want := make([]string, len(gs))
+		for i, g := range gs {
+			s, err := flb.Run(g, sys)
 			if err != nil {
-				t.Fatalf("workers=%d pass %d: %v", w, pass, err)
+				t.Fatal(err)
 			}
-			for i := range got {
-				if scheduleBytes(t, got[i]) != want[i] {
-					t.Errorf("workers=%d pass %d: schedule %d differs from uncached serial", w, pass, i)
+			want[i] = scheduleBytes(t, s)
+		}
+		for _, w := range batchWorkerCounts {
+			c := flb.NewScheduleCache(2 * len(gs))
+			for pass := 0; pass < 2; pass++ {
+				got, err := flb.RunBatch(gs, sys, flb.WithWorkers(w), flb.WithCache(c))
+				if err != nil {
+					t.Fatalf("P=%d workers=%d pass %d: %v", p, w, pass, err)
+				}
+				for i := range got {
+					if scheduleBytes(t, got[i]) != want[i] {
+						t.Errorf("P=%d workers=%d pass %d: schedule %d differs from uncached serial", p, w, pass, i)
+					}
 				}
 			}
-		}
-		st := c.Stats()
-		if st.Puts != int64(len(gs)) {
-			t.Errorf("workers=%d: %d inserts, want %d", w, st.Puts, len(gs))
-		}
-		if st.Hits != int64(len(gs)) {
-			t.Errorf("workers=%d: warm pass hit %d of %d", w, st.Hits, len(gs))
+			st := c.Stats()
+			if st.Puts != int64(len(gs)) {
+				t.Errorf("P=%d workers=%d: %d inserts, want %d", p, w, st.Puts, len(gs))
+			}
+			if st.Hits != int64(len(gs)) {
+				t.Errorf("P=%d workers=%d: warm pass hit %d of %d", p, w, st.Hits, len(gs))
+			}
 		}
 	}
 }

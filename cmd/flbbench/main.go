@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"flb/internal/bench"
-	"flb/internal/memo"
 	"flb/internal/obs"
 )
 
@@ -72,7 +71,6 @@ func run(args []string, stdout io.Writer) error {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile (after the experiments) to this file")
 		traceOut = fs.String("trace", "", "write a Chrome Trace Event JSON of one representative run per experiment ('-' for stdout)")
-		cacheCap = fs.Int("cache", 0, "route the quality sweeps' FLB scheduling through a shared schedule cache of this capacity (0 = no cache); results are byte-identical with or without")
 	)
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
@@ -115,9 +113,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *families != "" {
 		cfg.Families = strings.Split(*families, ",")
-	}
-	if *cacheCap > 0 {
-		cfg.Cache = memo.NewCache(*cacheCap)
 	}
 	var traceClose func() error
 	if *traceOut != "" {
@@ -211,15 +206,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if want("fig4") {
 		ran = true
-		if cfg.Cache != nil {
-			// Warm pass: run the sweep once to populate the cache, discard
-			// the result, and let the emitted run below answer from hits.
-			// The CI diff gate compares this output against an uncached
-			// run — byte equality is the cache's determinism contract.
-			if _, err := bench.Fig4(cfg); err != nil {
-				return err
-			}
-		}
 		r, err := bench.Fig4(cfg)
 		if err != nil {
 			return err

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"flb/internal/sim"
+	"flb/internal/stats"
 	"flb/internal/workload"
 )
 
@@ -284,8 +285,8 @@ func replay(baseURL string, reqs []request, rps float64, duration, timeout time.
 	}
 	rep.AchievedRPS = float64(offered) / offeredDur.Seconds()
 	for kind, ep := range rep.Endpoints {
-		ep.LatencyMs = summarize(lats[kind])
-		ep.AcceptedLatencyMs = summarize(okLats[kind])
+		ep.LatencyMs = stats.QuantilesOf(lats[kind])
+		ep.AcceptedLatencyMs = stats.QuantilesOf(okLats[kind])
 	}
 	return rep
 }
@@ -352,34 +353,9 @@ type EndpointStats struct {
 
 	// LatencyMs summarizes every completed request; AcceptedLatencyMs
 	// only the 2xx ones — the number admission control promises to bound.
-	LatencyMs         LatencySummary `json:"latency_ms"`
-	AcceptedLatencyMs LatencySummary `json:"accepted_latency_ms"`
-}
-
-// LatencySummary is a percentile digest in milliseconds.
-type LatencySummary struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-func summarize(v []float64) LatencySummary {
-	s := LatencySummary{Count: len(v)}
-	if len(v) == 0 {
-		return s
-	}
-	sort.Float64s(v)
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	at := func(p float64) float64 { return v[int(p*float64(len(v)-1))] }
-	s.Mean = sum / float64(len(v))
-	s.P50, s.P90, s.P99, s.Max = at(0.50), at(0.90), at(0.99), v[len(v)-1]
-	return s
+	// Both are in milliseconds.
+	LatencyMs         stats.Quantiles `json:"latency_ms"`
+	AcceptedLatencyMs stats.Quantiles `json:"accepted_latency_ms"`
 }
 
 // Format renders the human-readable summary.

@@ -21,7 +21,6 @@ import (
 	"flb/internal/algo"
 	"flb/internal/algo/registry"
 	"flb/internal/graph"
-	"flb/internal/memo"
 	"flb/internal/obs"
 	"flb/internal/sim"
 	"flb/internal/workload"
@@ -67,13 +66,6 @@ type Config struct {
 	// observation never pollutes timings or results. Wired to flbbench
 	// -trace.
 	Observer obs.Sink
-	// Cache, when non-nil, routes the quality sweeps' FLB scheduling
-	// (Fig. 4) through a shared schedule cache (internal/memo), exact tier
-	// only. Hits are byte-identical to cold runs, so results are unchanged
-	// — the knob exists to measure and gate exactly that (flbbench -cache,
-	// the CI cached-vs-cold CSV diff). Timing sweeps (Fig. 2, throughput)
-	// ignore it: they measure the scheduler, not the cache.
-	Cache *memo.Cache
 }
 
 // Default returns the paper's configuration.

@@ -176,8 +176,9 @@ func FaultSweep(cfg Config, p int, crashCounts []int, draws int) (*FaultSweepRes
 	}
 	if cfg.Observer != nil {
 		// One representative observed faulty run — FLB schedule of the
-		// first instance under the first scenario, with the online repairs
-		// observed too — after the sweep, so observation cannot pollute it.
+		// first instance under the first scenario, its crashes and repairs
+		// observed through the execution — after the sweep, so observation
+		// cannot pollute it.
 		s, err := core.FLB{Sink: cfg.Observer}.Schedule(insts[0].g, sys)
 		if err != nil {
 			return nil, fmt.Errorf("bench fault: observed run: %w", err)
@@ -187,7 +188,6 @@ func FaultSweep(cfg Config, p int, crashCounts []int, draws int) (*FaultSweepRes
 			return nil, fmt.Errorf("bench fault: observed run: %w", err)
 		}
 		re := core.NewRescheduler()
-		re.Observe(cfg.Observer)
 		choose := func(fault.Crash, int) (fault.Repairer, error) { return re, nil }
 		sc := scenarios[0]
 		seed := scenarioSeed(cfg.BaseSeed, sc, 0, 0)

@@ -6,7 +6,6 @@ import (
 
 	"flb/internal/algo/registry"
 	"flb/internal/machine"
-	"flb/internal/memo"
 	"flb/internal/par"
 	"flb/internal/schedule"
 	"flb/internal/stats"
@@ -88,20 +87,7 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 				if err != nil {
 					return err
 				}
-				var s *schedule.Schedule
-				if cfg.Cache != nil && strings.EqualFold(name, "flb") {
-					// Exact tier only, matching the batch facade: a hit's
-					// bytes equal a cold run's, so the cell's NSL samples
-					// are independent of what the cache held.
-					key := memo.KeyOf(in.g, sys, "flb", cfg.BaseSeed)
-					if hit, ok := cfg.Cache.Get(in.g, sys, key, false); ok {
-						s = hit
-					} else if s, err = a.Schedule(in.g, sys); err == nil {
-						cfg.Cache.Put(in.g, sys, key, s)
-					}
-				} else {
-					s, err = a.Schedule(in.g, sys)
-				}
+				s, err := a.Schedule(in.g, sys)
 				if err != nil {
 					return fmt.Errorf("bench fig4: %s: %w", a.Name(), err)
 				}

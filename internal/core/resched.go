@@ -6,7 +6,6 @@ import (
 	"flb/internal/fault"
 	"flb/internal/graph"
 	"flb/internal/machine"
-	"flb/internal/obs"
 	"flb/internal/pq"
 	"flb/internal/schedule"
 )
@@ -48,16 +47,7 @@ type Rescheduler struct {
 	inPlan    []bool
 	procMap   []machine.Proc
 	subSpeeds []float64
-	sink      obs.Sink
 }
-
-// Observe sets the sink receiving one obs.SchedStep per repair placement
-// (winner only — the repair loop has no EP/non-EP candidate split),
-// bracketed by obs.KindRepair Begin/End events. The embedded cold-start
-// sub-scheduler is deliberately not observed: its processor indices are
-// sub-machine-local and would mislead a trace consumer. Nil disables
-// observability (the zero-allocation path).
-func (r *Rescheduler) Observe(s obs.Sink) { r.sink = s }
 
 // NewRescheduler returns an empty repair arena running the default FLB
 // variant.
@@ -70,9 +60,6 @@ func (r *Rescheduler) Repair(req *fault.Request) error {
 	alive := req.AliveCount()
 	if alive == 0 {
 		return fmt.Errorf("core: reschedule with no surviving processors")
-	}
-	if r.sink != nil {
-		r.sink.Begin(obs.Begin{Kind: obs.KindRepair, Tasks: len(req.Todo), Procs: req.Sys.P})
 	}
 	if r.coldStart(req) {
 		return r.repairCold(req, alive)
@@ -116,20 +103,8 @@ func (r *Rescheduler) repairCold(req *fault.Request, alive int) error {
 	if err != nil {
 		return err
 	}
-	for i, t := range sub.PlacementOrder() {
+	for _, t := range sub.PlacementOrder() {
 		req.Assign(t, r.procMap[sub.Proc(t)])
-		if r.sink != nil {
-			r.sink.SchedStep(obs.SchedStep{
-				Iter:   i,
-				Task:   t,
-				Proc:   int(r.procMap[sub.Proc(t)]),
-				Start:  sub.Start(t),
-				Finish: sub.Finish(t),
-			})
-		}
-	}
-	if r.sink != nil {
-		r.sink.End(obs.End{Kind: obs.KindRepair, Makespan: sub.Makespan()})
 	}
 	return nil
 }
@@ -200,15 +175,6 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 		}
 		r.plan.Place(bt, bp, bestStart)
 		req.Assign(bt, bp)
-		if r.sink != nil {
-			r.sink.SchedStep(obs.SchedStep{
-				Iter:   placed,
-				Task:   bt,
-				Proc:   int(bp),
-				Start:  bestStart,
-				Finish: bestStart + sys.ExecTime(g.Comp(bt), bp),
-			})
-		}
 		r.inPlan[bt] = false
 		r.ready[bi] = r.ready[len(r.ready)-1]
 		r.ready = r.ready[:len(r.ready)-1]
@@ -222,9 +188,6 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 				r.ready = append(r.ready, to)
 			}
 		}
-	}
-	if r.sink != nil {
-		r.sink.End(obs.End{Kind: obs.KindRepair, Makespan: r.plan.Makespan()})
 	}
 	return nil
 }
@@ -257,8 +220,7 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 // FLB's tie-breaking uses bottom levels, which are global functions of
 // all downstream weights, so a trailing drift can reorder even the
 // untouched prefix of a cold run. See DESIGN.md §13 for the full
-// argument. The run is deliberately unobserved (no sink events): the
-// cache serves it outside any observed scheduling run.
+// argument.
 //
 // The returned schedule is arena-owned: valid only until the next Repair
 // or ReplanSuffix call on r. Callers that keep it must Clone it.

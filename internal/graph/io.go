@@ -184,6 +184,11 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 		p.lineNo++
 		if line := sc.Bytes(); !p.readCanonical(line) {
 			if err := p.readLine(line); err != nil {
+				if sc.Err() != nil {
+					// A failed read hands the line it cut short over as
+					// the last token: report the read, not that line.
+					break
+				}
 				return nil, p.firstError(p.graph(), err)
 			}
 		}

@@ -1,10 +1,13 @@
 package graph
 
 import (
+	"errors"
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestTextRoundTrip(t *testing.T) {
@@ -211,6 +214,31 @@ func TestNextFieldMatchesFields(t *testing.T) {
 					t.Fatalf("nextField splits %q into %q, strings.Fields into %q", src, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestReadFailureMidLine feeds both readers an input whose read fails
+// partway: the scanner then hands over the line the failure cut short as
+// its last token, and leaves the lines after it missing. Whatever the
+// cut did to the parse, the error must be the read's own.
+func TestReadFailureMidLine(t *testing.T) {
+	errCut := errors.New("read cut short")
+	cases := []struct {
+		name, prefix string
+		read         func(io.Reader) (*Graph, error)
+	}{
+		{"text: inside a task line", "graph g\ntask 0 1\ntas", ReadText},
+		{"text: inside an edge line", "task 0 1\ntask 1 1\nedge 0", ReadText},
+		{"text: between lines", "task 0 1\ntask 1 1\nedge 0 1 2\n", ReadText},
+		{"stg: inside a task line", "3\n0 1 0\n1 1 1", ReadSTG},
+		{"stg: a task line cut to a valid one", "3\n0 1 0\n1 1 1 0 4", ReadSTG},
+		{"stg: between task lines", "3\n0 1 0\n", ReadSTG},
+	}
+	for _, tc := range cases {
+		_, err := tc.read(io.MultiReader(strings.NewReader(tc.prefix), iotest.ErrReader(errCut)))
+		if !errors.Is(err, errCut) {
+			t.Errorf("%s: error %v, want one wrapping the read error", tc.name, err)
 		}
 	}
 }

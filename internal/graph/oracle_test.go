@@ -146,8 +146,13 @@ func oracleReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
 		return nil, false
 	}
 
+	// A scanner error (here a line over the buffer cap) is reported in
+	// place of the lines it left missing.
 	head, ok := readLine()
 	if !ok {
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("graph stg: %w", err)
+		}
 		return nil, fmt.Errorf("graph stg: empty input")
 	}
 	if len(head) != 1 {
@@ -170,6 +175,9 @@ func oracleReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
 	for i := 0; i < n; i++ {
 		fields, ok := readLine()
 		if !ok {
+			if err := sc.Err(); err != nil {
+				return nil, fmt.Errorf("graph stg: %w", err)
+			}
 			return nil, fmt.Errorf("graph stg: expected %d task lines, got %d", n, i)
 		}
 		if len(fields) < 3 {

@@ -42,9 +42,26 @@ func ReadSTG(r io.Reader) (*Graph, error) {
 // count (or an accumulated edge count) beyond lim fails with an error
 // wrapping ErrTooLarge before storage for it is allocated.
 func ReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
-	lim = lim.Normalized()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	g, err := readSTG(sc, lim.Normalized())
+	if serr := sc.Err(); serr != nil {
+		// A failed read hands the line it cut short over as the last
+		// token and leaves the lines after it missing: whatever the parse
+		// made of that, the read is what failed.
+		return nil, fmt.Errorf("graph stg: %w", serr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// readSTG parses the task count and task lines sc yields.
+func readSTG(sc *bufio.Scanner, lim Limits) (*Graph, error) {
 	// readLine returns the next line that holds a field, its comment cut.
 	// The line aliases the scanner's buffer until the next call.
 	readLine := func() ([]byte, bool) {
@@ -165,12 +182,6 @@ func ReadSTGLimits(r io.Reader, lim Limits) (*Graph, error) {
 			}
 			g.AddEdge(pred, id, comm)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph stg: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
 	}
 	return g, nil
 }

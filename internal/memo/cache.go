@@ -134,13 +134,6 @@ func (c *Cache) EnableNearHit(on bool) {
 	c.mu.Unlock()
 }
 
-// NearHitEnabled reports whether the near-hit tier is on.
-func (c *Cache) NearHitEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.near
-}
-
 // Len returns the number of cached schedules.
 func (c *Cache) Len() int {
 	c.mu.Lock()

@@ -66,10 +66,6 @@ type Fingerprint struct {
 	Hi, Lo uint64
 }
 
-// IsZero reports whether f is the zero fingerprint (never produced by
-// KeyOf's finalizer in practice; usable as a sentinel).
-func (f Fingerprint) IsZero() bool { return f.Hi == 0 && f.Lo == 0 }
-
 // Key identifies one scheduling problem in the cache: Full hashes
 // structure, weights and parameters; Shape hashes structure and
 // parameters only (the near-hit index).

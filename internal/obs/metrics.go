@@ -79,7 +79,7 @@ func (h *Hist) String() string {
 // all jobs into it sequentially (package doc, "batch sink-sharing").
 type Metrics struct {
 	// Runs counts Begin events per kind index (see Kind).
-	Runs [KindRepair + 1]int
+	Runs [KindSimContended + 1]int
 
 	// Scheduler decision counters.
 	Steps     int  // scheduling decisions observed
@@ -113,8 +113,10 @@ type Metrics struct {
 // NewMetrics returns an empty metrics sink.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Reset zeroes every counter, keeping the per-processor arrays.
+// Reset zeroes every counter, keeping the per-processor arrays' storage.
+// Busy is zeroed too: the next Begin re-slices it over that storage.
 func (m *Metrics) Reset() {
+	clear(m.Busy)
 	busy := m.Busy[:0]
 	*m = Metrics{Busy: busy}
 }

@@ -1,9 +1,9 @@
 // Package obs is the observability layer of the module: a typed event
-// stream emitted by the instrumented hot loops (the FLB scheduler and
-// online rescheduler in internal/core, the execution simulators in
-// internal/sim) plus the concrete sinks that consume it — an arena-backed
-// in-memory Recorder, a Chrome Trace Event exporter (ChromeTrace) and an
-// aggregating Metrics sink.
+// stream emitted by the instrumented hot loops (the FLB scheduler in
+// internal/core, the execution simulators in internal/sim) plus the
+// concrete sinks that consume it — an arena-backed in-memory Recorder, a
+// Chrome Trace Event exporter (ChromeTrace) and an aggregating Metrics
+// sink.
 //
 // # Overhead discipline
 //
@@ -57,8 +57,6 @@ const (
 	KindSim
 	// KindSimContended is a contention-aware execution (sim.RunContended).
 	KindSimContended
-	// KindRepair is an online repair pass (core.Rescheduler).
-	KindRepair
 )
 
 // String names the kind.
@@ -70,8 +68,6 @@ func (k Kind) String() string {
 		return "sim"
 	case KindSimContended:
 		return "sim-contended"
-	case KindRepair:
-		return "repair"
 	default:
 		return "unknown"
 	}
@@ -92,9 +88,7 @@ type End struct {
 
 // SchedStep is one scheduling decision: the paper's ScheduleTask
 // comparison between the best EP-type candidate and the best non-EP-type
-// candidate, the winner, and the list sizes at decision time. The online
-// rescheduler emits the same event with only the winner filled in
-// (HaveEP and HaveNonEP false).
+// candidate, the winner, and the list sizes at decision time.
 type SchedStep struct {
 	// Iter numbers the decision within its run, from 0.
 	Iter int

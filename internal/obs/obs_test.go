@@ -42,7 +42,6 @@ func TestKindString(t *testing.T) {
 		obs.KindSchedule:     "schedule",
 		obs.KindSim:          "sim",
 		obs.KindSimContended: "sim-contended",
-		obs.KindRepair:       "repair",
 		obs.Kind(99):         "unknown",
 	}
 	for k, s := range want {
@@ -213,6 +212,15 @@ func TestMetrics(t *testing.T) {
 	m.Reset()
 	if m.Steps != 0 || m.Makespan != 0 || m.Crashes != 0 {
 		t.Error("Reset did not zero the counters")
+	}
+	// A reset sink fed the same run reads what a fresh one reads: Reset
+	// must not leave the last run's busy time under the next Begin.
+	feed(m)
+	fresh := obs.NewMetrics()
+	feed(fresh)
+	if !reflect.DeepEqual(m.Busy, fresh.Busy) || m.Utilization() != fresh.Utilization() {
+		t.Errorf("after Reset: Busy %v, utilization %g; a fresh sink reads %v, %g",
+			m.Busy, m.Utilization(), fresh.Busy, fresh.Utilization())
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		m.Reset()

@@ -47,13 +47,9 @@ import (
 // never need locks; between batches the same arenas are reused, which is
 // where the zero-allocation steady state comes from.
 type Worker struct {
-	id      int
 	sched   *core.Scheduler
 	resched *core.Rescheduler
 }
-
-// ID returns the worker's index in [0, Workers()).
-func (w *Worker) ID() int { return w.id }
 
 // Scheduler returns the worker's reusable FLB arena. The schedule it
 // returns is valid only until the worker's next Schedule call; jobs that
@@ -83,7 +79,6 @@ func New(n int) *Engine {
 	e := &Engine{workers: make([]Worker, n)}
 	for i := range e.workers {
 		e.workers[i] = Worker{
-			id:      i,
 			sched:   core.NewScheduler(core.FLB{}),
 			resched: core.NewRescheduler(),
 		}
@@ -93,13 +88,6 @@ func New(n int) *Engine {
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return len(e.workers) }
-
-// Worker returns worker i's arenas for callers running their own
-// long-lived dispatch loop (the flbd service pool) instead of a batch.
-// The Each contract carries over: at any moment a given worker must be
-// driven by at most one goroutine, and external use must not overlap a
-// running Each on the same engine.
-func (e *Engine) Worker(i int) *Worker { return &e.workers[i] }
 
 // Each runs fn(worker, i) for every i in [0, n), fanning the indexes out
 // over the pool through a bounded queue. fn must write only into per-i

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,5 +90,20 @@ func TestMeanBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestQuantilesOf(t *testing.T) {
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	want := Quantiles{Count: 100, Mean: 50.5, P50: 50, P90: 90, P99: 99, Max: 100}
+	if got := QuantilesOf(xs); got != want {
+		t.Errorf("QuantilesOf(shuffled 1..100) = %+v, want %+v", got, want)
+	}
+	if got := QuantilesOf(nil); got != (Quantiles{}) {
+		t.Errorf("QuantilesOf(nil) = %+v, want the zero digest", got)
 	}
 }

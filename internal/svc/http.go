@@ -151,7 +151,7 @@ func (s *Server) retryAfterSeconds() int {
 	if per <= 0 {
 		per = 0.05 // no completed job yet: assume a cheap one
 	}
-	est := float64(depth+1) * per / float64(s.eng.Workers())
+	est := float64(depth+1) * per / float64(s.cfg.Workers)
 	secs := int(math.Ceil(est))
 	if secs < 1 {
 		secs = 1

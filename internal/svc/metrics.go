@@ -1,10 +1,10 @@
 package svc
 
 import (
-	"sort"
 	"time"
 
 	"flb/internal/obs"
+	"flb/internal/stats"
 )
 
 // reservoir keeps the last cap observations in a ring so /metrics can
@@ -30,36 +30,16 @@ func (r *reservoir) add(v float64) {
 	r.count++
 }
 
-// quantiles summarizes the reservoir's current window.
+// quantiles summarizes the reservoir's current window; Count is the
+// lifetime count of observations, not the window's.
 func (r *reservoir) quantiles() Quantiles {
-	q := Quantiles{Count: r.count}
-	if len(r.buf) == 0 {
-		return q
-	}
-	s := append([]float64(nil), r.buf...)
-	sort.Float64s(s)
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	at := func(p float64) float64 {
-		i := int(p * float64(len(s)-1))
-		return s[i]
-	}
-	q.Mean = sum / float64(len(s))
-	q.P50, q.P90, q.P99, q.Max = at(0.50), at(0.90), at(0.99), s[len(s)-1]
+	q := stats.QuantilesOf(append([]float64(nil), r.buf...))
+	q.Count = r.count
 	return q
 }
 
 // Quantiles is a latency summary in milliseconds over the recent window.
-type Quantiles struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
+type Quantiles = stats.Quantiles
 
 // Snapshot is the /metrics document: service health and shed counters,
 // the aggregated scheduler/executor metrics of internal/obs, and the
@@ -104,11 +84,11 @@ type ServiceStats struct {
 }
 
 // SchedStats is the service-lifetime aggregation of the observed
-// scheduling and execution event streams (internal/obs.Metrics).
+// scheduling and execution event streams: each worker counts one job
+// into its own obs.Metrics, and add folds that into these totals.
 type SchedStats struct {
 	ScheduleRuns int `json:"schedule_runs"`
 	ExecRuns     int `json:"exec_runs"`
-	RepairRuns   int `json:"repair_runs"`
 	Steps        int `json:"steps"`
 	EPWins       int `json:"ep_wins"`
 	NonEPWins    int `json:"non_ep_wins"`
@@ -118,6 +98,21 @@ type SchedStats struct {
 	Crashes      int `json:"crashes"`
 	Repairs      int `json:"repairs"`
 	Retries      int `json:"retries"`
+}
+
+// add folds one job's counters into the totals.
+func (st *SchedStats) add(m *obs.Metrics) {
+	st.ScheduleRuns += m.Runs[obs.KindSchedule]
+	st.ExecRuns += m.Runs[obs.KindSim]
+	st.Steps += m.Steps
+	st.EPWins += m.EPWins
+	st.NonEPWins += m.NonEPWins
+	st.Demotions += m.Demotions
+	st.TasksRun += m.TasksRun
+	st.Messages += m.Msgs
+	st.Crashes += m.Crashes
+	st.Repairs += m.Repairs
+	st.Retries += m.Retries
 }
 
 // CacheStats mirrors the memo cache counters (satellite of ROADMAP
@@ -142,7 +137,7 @@ func (s *Server) MetricsSnapshot() Snapshot {
 		Service: ServiceStats{
 			State:         stateName(s.state.Load()),
 			UptimeSec:     time.Since(s.start).Seconds(),
-			Workers:       s.eng.Workers(),
+			Workers:       s.cfg.Workers,
 			QueueCap:      cap(s.queue),
 			QueueDepth:    len(s.queue),
 			Inflight:      s.inflight.Load(),
@@ -164,20 +159,7 @@ func (s *Server) MetricsSnapshot() Snapshot {
 	s.mu.Lock()
 	snap.Service.LatencyMs = s.latMs.quantiles()
 	snap.Service.QueueWaitMs = s.queueMs.quantiles()
-	snap.Sched = SchedStats{
-		ScheduleRuns: s.met.Runs[obs.KindSchedule],
-		ExecRuns:     s.met.Runs[obs.KindSim],
-		RepairRuns:   s.met.Runs[obs.KindRepair],
-		Steps:        s.met.Steps,
-		EPWins:       s.met.EPWins,
-		NonEPWins:    s.met.NonEPWins,
-		Demotions:    s.met.Demotions,
-		TasksRun:     s.met.TasksRun,
-		Messages:     s.met.Msgs,
-		Crashes:      s.met.Crashes,
-		Repairs:      s.met.Repairs,
-		Retries:      s.met.Retries,
-	}
+	snap.Sched = s.sched
 	s.mu.Unlock()
 	if s.cache != nil {
 		st := s.cache.Stats()

@@ -1,7 +1,7 @@
 // Package svc is the hardened scheduling service behind cmd/flbd: a
-// long-lived HTTP daemon that accepts graph submissions and routes them
-// through the internal/par worker arenas, engineered to degrade
-// gracefully instead of falling over.
+// long-lived HTTP daemon that accepts graph submissions and schedules them
+// on a pool of workers, each owning a reusable FLB arena, engineered to
+// degrade gracefully instead of falling over.
 //
 // # Robustness model
 //
@@ -48,12 +48,12 @@ import (
 
 	"flb"
 	"flb/internal/algo/registry"
+	"flb/internal/core"
 	"flb/internal/fault"
 	"flb/internal/graph"
 	"flb/internal/machine"
 	"flb/internal/memo"
 	"flb/internal/obs"
-	"flb/internal/par"
 	"flb/internal/schedule"
 	"flb/internal/sim"
 )
@@ -62,7 +62,7 @@ import (
 // for every field.
 type Config struct {
 	// Workers is the scheduling worker-pool size; <= 0 selects
-	// GOMAXPROCS. Each worker owns reusable par arenas.
+	// GOMAXPROCS. Each worker owns a reusable FLB arena and metrics sink.
 	Workers int
 	// QueueCap bounds the admission queue; <= 0 selects 64. Offered
 	// load beyond workers + queue is shed with 429.
@@ -178,7 +178,6 @@ func (j *job) finish(r jobResult) { j.done <- r }
 // the worker pool), serve Handler over HTTP, and stop with Drain.
 type Server struct {
 	cfg   Config
-	eng   *par.Engine
 	cache *memo.Cache
 
 	// admit guards the enqueue-vs-close race of the drain path: handlers
@@ -207,7 +206,7 @@ type Server struct {
 	// mu guards the aggregated run metrics and latency reservoirs,
 	// written by workers after each job and read by /metrics.
 	mu         sync.Mutex
-	met        *obs.Metrics
+	sched      SchedStats
 	latMs      *reservoir
 	queueMs    *reservoir
 	ewmaJobSec float64
@@ -221,9 +220,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		eng:     par.New(cfg.Workers),
 		queue:   make(chan *job, cfg.QueueCap),
-		met:     obs.NewMetrics(),
 		latMs:   newReservoir(8192),
 		queueMs: newReservoir(8192),
 		start:   time.Now(),
@@ -231,9 +228,9 @@ func New(cfg Config) *Server {
 	if cfg.CacheCap != 0 {
 		s.cache = memo.NewCache(cfg.CacheCap)
 	}
-	for i := 0; i < s.eng.Workers(); i++ {
+	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker(i)
+		go s.worker()
 	}
 	return s
 }
@@ -266,15 +263,16 @@ func (s *Server) Drain(ctx context.Context) error {
 // Draining reports whether the server has left the accepting state.
 func (s *Server) Draining() bool { return s.state.Load() != stateAccepting }
 
-// worker is one service worker: it owns par worker i's arenas and a
-// private event recorder, and serves admitted jobs until the queue
-// closes.
-func (s *Server) worker(i int) {
+// worker is one service worker: it owns an FLB arena and the metrics
+// sink that counts each job's scheduling decisions and execution, and
+// serves admitted jobs until the queue closes.
+func (s *Server) worker() {
 	defer s.wg.Done()
-	w := s.eng.Worker(i)
-	rec := obs.NewRecorder()
+	sc := core.NewScheduler(core.FLB{})
+	m := obs.NewMetrics()
+	sc.Observe(m)
 	for j := range s.queue {
-		s.runJob(w, rec, j)
+		s.runJob(sc, m, j)
 		s.inflight.Add(-1)
 	}
 }
@@ -283,7 +281,7 @@ func (s *Server) worker(i int) {
 // job answers 500 and the worker moves on to the next one.
 //
 //flb:wallclock times queue wait and service latency for the metrics reservoirs
-func (s *Server) runJob(w *par.Worker, rec *obs.Recorder, j *job) {
+func (s *Server) runJob(sc *core.Scheduler, m *obs.Metrics, j *job) {
 	started := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -301,8 +299,8 @@ func (s *Server) runJob(w *par.Worker, rec *obs.Recorder, j *job) {
 	if hook := s.cfg.testHook; hook != nil {
 		hook(j)
 	}
-	rec.Reset()
-	resp, status, errMsg := s.schedule(w, rec, j)
+	m.Reset()
+	resp, status, errMsg := s.schedule(sc, m, j)
 	if resp == nil {
 		j.finish(jobResult{status: status, errMsg: errMsg})
 		return
@@ -312,13 +310,13 @@ func (s *Server) runJob(w *par.Worker, rec *obs.Recorder, j *job) {
 	resp.QueueMs = durMs(queueWait)
 	resp.RunMs = durMs(svcTime)
 	j.finish(jobResult{status: 200, resp: resp})
-	s.observe(rec, queueWait, svcTime)
+	s.observe(m, queueWait, svcTime)
 }
 
 // schedule runs the job's scheduling (and optional execution) on the
-// worker's arenas. It returns a response, or an HTTP status and message
-// when the run failed.
-func (s *Server) schedule(w *par.Worker, rec *obs.Recorder, j *job) (*scheduleResponse, int, string) {
+// worker's arena, counting both into m. It returns a response, or an
+// HTTP status and message when the run failed.
+func (s *Server) schedule(sc *core.Scheduler, m *obs.Metrics, j *job) (*scheduleResponse, int, string) {
 	var out *schedule.Schedule
 	cached := false
 	if j.algo == "" {
@@ -330,10 +328,7 @@ func (s *Server) schedule(w *par.Worker, rec *obs.Recorder, j *job) (*scheduleRe
 			}
 		}
 		if out == nil {
-			sc := w.Scheduler()
-			sc.Observe(rec)
 			cold, err := sc.Schedule(j.g, j.sys)
-			sc.Observe(nil)
 			if err != nil {
 				return nil, 500, err.Error()
 			}
@@ -362,7 +357,7 @@ func (s *Server) schedule(w *par.Worker, rec *obs.Recorder, j *job) (*scheduleRe
 			flb.WithJitter(j.epsComp, j.epsComm),
 			flb.WithFaults(fault.Plan{Crashes: j.crashes}),
 			flb.WithSeed(j.eseed),
-			flb.WithObserver(rec))
+			flb.WithObserver(m))
 		if err != nil {
 			if j.ctx.Err() != nil {
 				// The client left (or the deadline lapsed) mid-run: counted
@@ -385,12 +380,12 @@ func (s *Server) schedule(w *par.Worker, rec *obs.Recorder, j *job) (*scheduleRe
 	return resp, 0, ""
 }
 
-// observe folds one finished job's event stream and timings into the
-// shared metrics under the lock (the obs sink contract is
-// single-goroutine; the lock serializes the replays).
-func (s *Server) observe(rec *obs.Recorder, queueWait, svcTime time.Duration) {
+// observe folds one finished job's counters and timings into the
+// service totals under the lock. A failed or panicked job never gets
+// here, so it counts nothing.
+func (s *Server) observe(m *obs.Metrics, queueWait, svcTime time.Duration) {
 	s.mu.Lock()
-	rec.Replay(s.met)
+	s.sched.add(m)
 	s.queueMs.add(durMs(queueWait))
 	s.latMs.add(durMs(queueWait + svcTime))
 	// EWMA of per-job service time feeds the Retry-After estimate.

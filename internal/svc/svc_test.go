@@ -127,6 +127,13 @@ func stgBody(v int) string {
 	return b.String()
 }
 
+// cutAt builds a body over a 2048-byte cap that the cap cuts k bytes
+// into line: head, then a comment line padding it out, then line.
+func cutAt(head, line string, k int) string {
+	pad := 2048 - len(head) - k
+	return head + "#" + strings.Repeat("x", pad-2) + "\n" + line
+}
+
 func decodeSchedule(t *testing.T, b []byte) scheduleResponse {
 	t.Helper()
 	var r scheduleResponse
@@ -598,6 +605,9 @@ func TestParseHardening(t *testing.T) {
 		{"too many tasks stg header", "?format=stg", "999999\n", 413, "exceeds limit"},
 		{"too many edges", "", textBody("e", 8) + "edge 0 2 1\nedge 0 3 1\nedge 0 4 1\nedge 0 5 1\nedge 0 6 1\n", 413, "exceeds limit"},
 		{"body over byte cap", "", okBody + "# " + strings.Repeat("x", 4096) + "\n", 413, "exceeds 2048 bytes"},
+		{"byte cap inside a task line", "", cutAt("graph g\n", "task 0 1\n", 3), 413, "exceeds 2048 bytes"},
+		{"byte cap inside an edge line", "", cutAt("task 0 1\ntask 1 2\n", "edge 0 1 1\n", 6), 413, "exceeds 2048 bytes"},
+		{"byte cap inside an stg task line", "?format=stg", cutAt("2\n0 1 0\n", "1 2 1 0 1\n", 3), 413, "exceeds 2048 bytes"},
 		{"malformed task line", "", "graph g\ntask zero 1\n", 400, "bad task id"},
 		{"unknown directive", "", "graph g\nnode 0 1\n", 400, "unknown directive"},
 		{"malformed stg", "?format=stg", "2\n0 1 0\n1 x 0\n", 400, "bad processing time"},
