@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSTGOracle$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDecimal$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzHeap$$' -fuzztime 10s ./internal/pq
+	$(GO) test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime 10s ./internal/pq
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/memo
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleHandler$$' -fuzztime 10s ./internal/svc
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteOracle$$' -fuzztime 10s ./internal/sim
@@ -61,14 +62,14 @@ hetero:
 	$(GO) run ./cmd/flbbench -exp hetero
 
 # Facade benchmarks, plus the two that walk CSR edge windows hardest
-# (the memo fingerprint and FLB placement on LU at V≈2000), the indexed
-# heap, the placement kernel's largest layer, and one cold flbd request
-# through the HTTP handler.
+# (the memo fingerprint and FLB placement on LU at V≈2000), the
+# fig2-place matrix on one reused Scheduler, the indexed heap and tree,
+# and one cold flbd request through the HTTP handler.
 bench:
 	$(GO) test -run '^$$' -bench 'Fig2|Scaling|Execute' -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkKeyOf$$' -benchmem ./internal/memo
-	$(GO) test -run '^$$' -bench '^BenchmarkFLB_LU2000_P32$$' -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench '^BenchmarkPushPop$$' -benchmem ./internal/pq
+	$(GO) test -run '^$$' -bench '^Benchmark(FLB_LU2000_P32|Fig2Matrix)$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(PushPop|TreeSet)$$' -benchmem ./internal/pq
 	$(GO) test -run '^$$' -bench '^BenchmarkServeMiss$$' -benchmem ./internal/svc
 
 # Million-task scale sweep, CI-quick configuration (10^5-task instances):

@@ -32,22 +32,22 @@ type FCP struct{}
 // Name implements the Algorithm interface.
 func (FCP) Name() string { return "FCP" }
 
-// fcpState is the reusable scratch of one run: the two heaps and the
-// ready tracker. Pooling it (like FLB's arena) removes the per-call
-// allocations of the steady state.
+// fcpState is the reusable scratch of one run: the ready-task heap, the
+// processor tree and the ready tracker. Pooling it (like FLB's arena)
+// removes the per-call allocations of the steady state.
 type fcpState struct {
 	readyQ pq.Heap
-	procQ  pq.Heap
+	procQ  pq.Tree
 	rt     algo.ReadyTracker
 }
 
 var statePool = sync.Pool{New: func() any { return new(fcpState) }}
 
 // reset re-targets the arena at a run over g on p processors, emptying the
-// heaps and tracker while keeping their capacity.
+// lists and tracker while keeping their capacity.
 func (st *fcpState) reset(g *graph.Graph, p int) {
 	st.readyQ.Grow(g.NumTasks())
-	st.procQ.Grow(p)
+	st.procQ.Init(p)
 	st.rt.Reset(g)
 }
 
@@ -71,7 +71,7 @@ func (f FCP) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, e
 	// Processors keyed by PRT: the head is the earliest-idle processor.
 	procQ := &st.procQ
 	for p := 0; p < sys.P; p++ {
-		procQ.Push(p, pq.Key{Primary: 0})
+		procQ.Set(p, pq.Key{Primary: 0})
 	}
 
 	for !s.Complete() {
@@ -82,7 +82,7 @@ func (f FCP) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, e
 		// Candidate 1: the enabling processor (source of the last message).
 		// Candidate 2: the earliest-idle processor.
 		ep := enablingProc(g, s, sys, t)
-		idleP, _, _ := procQ.Peek()
+		idleP, _, _ := procQ.Min()
 		p, est := idleP, s.EST(t, idleP)
 		if ep >= 0 {
 			if epEST := s.EST(t, ep); epEST < est {
@@ -90,7 +90,7 @@ func (f FCP) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, e
 			}
 		}
 		s.Place(t, p, est)
-		procQ.Update(p, pq.Key{Primary: s.PRT(p)})
+		procQ.Set(p, pq.Key{Primary: s.PRT(p)})
 		for _, nt := range rt.Complete(t) {
 			readyQ.Push(nt, pq.Key{Primary: -bl[nt]})
 		}

@@ -74,9 +74,10 @@ func (l LLB) Schedule(c *cluster.Clustering, sys machine.System) (*schedule.Sche
 		readyMapped[p] = pq.New(n)
 	}
 	readyUnmapped := pq.New(n)
-	procQ := pq.New(sys.P) // processors by PRT
+	var procQ pq.Tree // processors by PRT
+	procQ.Init(sys.P)
 	for p := 0; p < sys.P; p++ {
-		procQ.Push(p, pq.Key{Primary: 0})
+		procQ.Set(p, pq.Key{Primary: 0})
 	}
 
 	rt := algo.NewReadyTracker(g)
@@ -92,7 +93,7 @@ func (l LLB) Schedule(c *cluster.Clustering, sys machine.System) (*schedule.Sche
 	}
 
 	for !s.Complete() {
-		p, _, _ := procQ.Peek()
+		p, _, _ := procQ.Min()
 		ta, _, haveA := readyMapped[p].Peek() // candidate already mapped to p
 		tb, _, haveB := readyUnmapped.Peek()  // candidate from an unmapped cluster
 
@@ -147,7 +148,7 @@ func (l LLB) Schedule(c *cluster.Clustering, sys machine.System) (*schedule.Sche
 			readyMapped[p].Remove(t)
 		}
 		s.Place(t, p, est)
-		procQ.Update(p, pq.Key{Primary: s.PRT(p)})
+		procQ.Set(p, pq.Key{Primary: s.PRT(p)})
 		for _, nt := range rt.Complete(t) {
 			enqueue(nt)
 		}

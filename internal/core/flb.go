@@ -21,10 +21,13 @@
 //
 // The implementation follows the paper's pseudocode (§4.1): two per-
 // processor heaps of EP tasks (keyed by EMT and LMT respectively), a
-// global heap of non-EP tasks (keyed by LMT), a heap of active processors
-// (keyed by the EST of their best EP task) and a heap of all processors
-// (keyed by PRT). All task-level ties break on larger bottom level — "the
-// task with the longest path to any exit task" — then smaller task ID.
+// global heap of non-EP tasks (keyed by LMT), a list of active processors
+// (keyed by the EST of their best EP task) and a list of all processors
+// (keyed by PRT). The task lists are pq.Heaps; the processor lists range
+// over the fixed set [0, P), so they are pq.Trees, whose updates walk one
+// leaf-to-root path. All task-level ties break on larger bottom level —
+// "the task with the longest path to any exit task" — then smaller task
+// ID; processor ties break on smaller processor index.
 //
 // One iteration runs scheduleTask (the paper's ScheduleTask), places the
 // winner, then updateTaskLists, updateReadyTasks and updateProcLists. The
@@ -53,14 +56,14 @@
 // processors — a slow processor often offers the earliest start but a
 // late finish. Two structures change (DESIGN.md §16):
 //
-//   - the active-processor heap is keyed by the EFT (not EST) of each
+//   - the active-processor list is keyed by the EFT (not EST) of each
 //     processor's head EP task, and the EP-vs-non-EP comparison is on
 //     EFT, keeping the paper's non-EP-wins-ties rule;
-//   - the all-processors PRT heap is split into one PRT heap per *speed
+//   - the all-processors PRT list is split into one PRT tree per *speed
 //     class* (processors sharing a speed factor). Within a class the
 //     earliest-idle processor still minimizes EFT, so the best non-EP
 //     placement is argmin over classes of max(LMT, PRT(head_c)) + w/s_c —
-//     K = #classes heap peeks instead of a P-way scan, preserving the
+//     K = #classes tree minima instead of a P-way scan, preserving the
 //     paper's complexity with a +K term per iteration.
 //
 // The per-processor EP heaps keep their EMT ordering: on one processor
@@ -186,21 +189,25 @@ type flbState struct {
 	emtEP  []pq.Heap // per proc: EP tasks keyed by (EMT, -BL)
 	lmtEP  []pq.Heap // per proc: EP tasks keyed by (LMT, -BL)
 	nonEP  pq.Heap   // non-EP tasks keyed by (LMT, -BL)
-	active pq.Heap   // active procs keyed by (EST/EFT of head EP task, -BL(head))
-	all    pq.Heap   // all procs keyed by (PRT); homogeneous path only
+	active pq.Tree   // active procs keyed by (EST/EFT of head EP task, -BL(head))
+	all    pq.Tree   // all procs keyed by (PRT); homogeneous path only
 
 	// Related-machines state (hetero only). Processors are partitioned
 	// into speed classes; the non-EP processor choice minimizes EFT over
-	// the per-class earliest-idle processors instead of peeking `all`.
+	// the per-class earliest-idle processors instead of reading `all`.
 	hetero bool
 	//flb:keep fully rebuilt by buildClasses on heterogeneous runs; never read on homogeneous ones
 	classSpeed []float64 // distinct speed factors, descending
 	//flb:keep fully rebuilt by buildClasses on heterogeneous runs; never read on homogeneous ones
 	classOf []int // per proc: index into classSpeed
-	//flb:keep re-sized by buildClasses, then reset by each class heap's Init on heterogeneous runs
-	classPos []int // shared position store of the class heaps
 	//flb:keep fully rebuilt by buildClasses on heterogeneous runs; never read on homogeneous ones
-	classPRT []pq.Heap // per class: procs keyed by (PRT)
+	classRank []int // per proc: its id in its class tree (rank by index within the class)
+	//flb:keep fully rebuilt by buildClasses on heterogeneous runs; never read on homogeneous ones
+	classProc []machine.Proc // procs grouped by class, in index order within each class
+	//flb:keep fully rebuilt by buildClasses on heterogeneous runs; never read on homogeneous ones
+	classFirst []int // per class: the offset of its first proc in classProc
+	//flb:keep fully rebuilt by buildClasses on heterogeneous runs; never read on homogeneous ones
+	classPRT []pq.Tree // per class: its procs, by rank, keyed by (PRT)
 
 	// Per-step scratch. classifyReady records each predecessor's message
 	// in preds, and each processor whose EP list grew in grown (grownMark
@@ -258,8 +265,8 @@ func (st *flbState) reset(f FLB, g *graph.Graph, sys machine.System, s *schedule
 		st.lmtEP[i].Init(st.lmtPos)
 	}
 	st.nonEP.Grow(n)
-	st.active.Grow(p)
-	st.all.Grow(p)
+	st.active.Init(p)
+	st.all.Init(p)
 	st.grown = st.grown[:0]
 	st.grownMark = growBool(st.grownMark, p)
 	clear(st.grownMark)
@@ -274,9 +281,11 @@ func (st *flbState) reset(f FLB, g *graph.Graph, sys machine.System, s *schedule
 // classes: classSpeed holds the distinct speed factors in descending
 // order (faster classes first, so EFT ties across classes resolve toward
 // the faster processor), classOf maps each processor to its class, and
-// classPRT holds one empty PRT-keyed heap per class. Runs at reset time;
-// with sufficient capacity from a previous run it performs no
-// allocations.
+// classPRT holds one empty PRT-keyed tree per class over the class's
+// processors. A tree's ids are ranks within the class (classRank; back
+// through classFirst and classProc), which follow processor index, so
+// PRT ties still go to the smaller processor. Runs at reset time; with
+// sufficient capacity from a previous run it performs no allocations.
 func (st *flbState) buildClasses(p int) {
 	st.classSpeed = st.classSpeed[:0]
 	for i := 0; i < p; i++ {
@@ -304,22 +313,25 @@ func (st *flbState) buildClasses(p int) {
 	}
 	k := len(st.classSpeed)
 	st.classOf = growInt(st.classOf, p)
-	for i := 0; i < p; i++ {
-		for c := 0; c < k; c++ {
-			if st.classSpeed[c] == st.sys.Speeds[i] { //flb:exact see above
-				st.classOf[i] = c
-				break
-			}
-		}
-	}
-	st.classPos = pq.GrowPos(st.classPos, p)
+	st.classRank = growInt(st.classRank, p)
+	st.classProc = st.classProc[:0]
+	st.classFirst = growInt(st.classFirst, k)
 	if cap(st.classPRT) < k {
-		st.classPRT = make([]pq.Heap, k)
+		st.classPRT = make([]pq.Tree, k)
 	} else {
 		st.classPRT = st.classPRT[:k]
 	}
-	for c := 0; c < k; c++ {
-		st.classPRT[c].Init(st.classPos)
+	for c, cs := range st.classSpeed {
+		first := len(st.classProc)
+		st.classFirst[c] = first
+		for q := 0; q < p; q++ {
+			if st.sys.Speeds[q] == cs { //flb:exact see above
+				st.classOf[q] = c
+				st.classRank[q] = len(st.classProc) - first
+				st.classProc = append(st.classProc, q)
+			}
+		}
+		st.classPRT[c].Init(len(st.classProc) - first)
 	}
 }
 
@@ -346,11 +358,11 @@ func (st *flbState) run() error {
 	}
 	if st.hetero {
 		for p := 0; p < st.sys.P; p++ {
-			st.classPRT[st.classOf[p]].Push(p, pq.Key{Primary: 0})
+			st.classPRT[st.classOf[p]].Set(st.classRank[p], pq.Key{Primary: 0})
 		}
 	} else {
 		for p := 0; p < st.sys.P; p++ {
-			st.all.Push(p, pq.Key{Primary: 0})
+			st.all.Set(p, pq.Key{Primary: 0})
 		}
 	}
 	// Entry tasks have no enabling processor; they are non-EP with LMT 0.
@@ -446,10 +458,11 @@ func (st *flbState) bestNonEPProc(t int) (machine.Proc, float64, float64) {
 	var bestEst float64
 	bestEFT := math.Inf(1)
 	for c := range st.classPRT {
-		p, _, found := st.classPRT[c].Peek()
+		r, _, found := st.classPRT[c].Min()
 		if !found {
-			continue // unreachable: every processor stays in its class heap
+			continue // unreachable: every processor stays in its class tree
 		}
+		p := st.classProc[st.classFirst[c]+r]
 		est := max(lmt, st.s.PRT(p))
 		eft := est + w/st.classSpeed[c]
 		if eft < bestEFT {
@@ -484,7 +497,7 @@ func (st *flbState) scheduleTask(iter int) (task int, proc machine.Proc, est flo
 	var t1 int
 	var p1 machine.Proc
 	var est1, cmp1 float64
-	if p, _, found := st.active.Peek(); found {
+	if p, _, found := st.active.Min(); found {
 		if t, _, found2 := st.emtEP[p].Peek(); found2 {
 			haveEP = true
 			t1, p1 = t, p
@@ -505,7 +518,7 @@ func (st *flbState) scheduleTask(iter int) (task int, proc machine.Proc, est flo
 		if st.hetero {
 			p2, est2, cmp2 = st.bestNonEPProc(t2)
 		} else {
-			p, _, _ := st.all.Peek()
+			p, _, _ := st.all.Min()
 			p2 = p
 			est2 = max(st.lmt[t2], st.s.PRT(p2))
 			cmp2 = est2
@@ -585,8 +598,7 @@ func (st *flbState) updateTaskLists(p machine.Proc) {
 // active-list priority of p and of every processor whose EP list grew in
 // this step, once each, then p's PRT key in the global processor list.
 // It runs after updateReadyTasks, so a processor whose EP list empties
-// and refills in the same step keeps its active entry instead of leaving
-// and re-entering the heap.
+// and refills in the same step is keyed once, not cleared and set again.
 //
 //flb:hotpath
 func (st *flbState) updateProcLists(p machine.Proc) {
@@ -599,9 +611,9 @@ func (st *flbState) updateProcLists(p machine.Proc) {
 	}
 	st.grown = st.grown[:0]
 	if st.hetero {
-		st.classPRT[st.classOf[p]].Update(p, pq.Key{Primary: st.s.PRT(p)})
+		st.classPRT[st.classOf[p]].Set(st.classRank[p], pq.Key{Primary: st.s.PRT(p)})
 	} else {
-		st.all.Update(p, pq.Key{Primary: st.s.PRT(p)})
+		st.all.Set(p, pq.Key{Primary: st.s.PRT(p)})
 	}
 }
 
@@ -611,9 +623,9 @@ func (st *flbState) updateProcLists(p machine.Proc) {
 //flb:hotpath
 func (st *flbState) refreshActive(q machine.Proc) {
 	if t, _, found := st.emtEP[q].Peek(); found {
-		st.active.PushOrUpdate(q, pq.Key{Primary: st.activeKey(t, q), Secondary: st.blKey(t)})
+		st.active.Set(q, pq.Key{Primary: st.activeKey(t, q), Secondary: st.blKey(t)})
 	} else {
-		st.active.Remove(q)
+		st.active.Clear(q)
 	}
 }
 

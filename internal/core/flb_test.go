@@ -408,6 +408,61 @@ func BenchmarkFLB_LU2000_P32(b *testing.B) {
 	}
 }
 
+// BenchmarkFig2Matrix times what the fig2-place workload times: cold
+// placements on one reused Scheduler over the Fig. 2 matrix — LU, Laplace
+// and stencil at V≈2000 with CCR 0.2 and 5 on P = 2, 4, 8, 16 and 32,
+// plus a P = 32 machine whose first half runs twice as fast. An op is one
+// round over the 36 cells; ns/task divides it by the tasks placed.
+func BenchmarkFig2Matrix(b *testing.B) {
+	related := machine.NewSystem(32)
+	speeds := make([]float64, 32)
+	for i := range speeds {
+		speeds[i] = 1
+		if i < 16 {
+			speeds[i] = 2
+		}
+	}
+	related.Speeds = machine.CanonicalSpeeds(speeds)
+	type cell struct {
+		g   *graph.Graph
+		sys machine.System
+	}
+	var cells []cell
+	tasks := 0
+	seed := int64(1)
+	for _, fam := range []string{"lu", "laplace", "stencil"} {
+		for _, ccr := range []float64{0.2, 5} {
+			g, err := workload.Instance(fam, 2000, ccr, nil, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seed++
+			g.Freeze()
+			for _, p := range []int{2, 4, 8, 16, 32} {
+				cells = append(cells, cell{g, machine.NewSystem(p)})
+			}
+			cells = append(cells, cell{g, related})
+			tasks += 6 * g.NumTasks()
+		}
+	}
+	sc := NewScheduler(FLB{})
+	for _, c := range cells {
+		if _, err := sc.Schedule(c.g, c.sys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			if _, err := sc.Schedule(c.g, c.sys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
+}
+
 func TestFLBAblationNames(t *testing.T) {
 	cases := map[string]FLB{
 		"FLB":            {},

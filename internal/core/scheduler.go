@@ -107,8 +107,8 @@ func (st *flbState) grow(v, p int) {
 		st.emtEP, st.lmtEP = emt, lmt
 	}
 	st.nonEP.Grow(v)
-	st.active.Grow(p)
-	st.all.Grow(p)
+	st.active.Init(p)
+	st.all.Init(p)
 	st.grownMark = growBool(st.grownMark, p)
 	if cap(st.grown) < p {
 		st.grown = make([]machine.Proc, 0, p)

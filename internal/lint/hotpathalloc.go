@@ -49,8 +49,9 @@ var allocOKBanned = map[string]bool{
 
 // requiredHotpath lists, per package, the receiver-qualified functions
 // that must carry //flb:hotpath: the per-iteration FLB procedures, the
-// O(log n) heap operations, the CSR adjacency accessors, and the batch
-// engine's per-job worker loop.
+// O(log n) heap and tree operations (Tree.Init grows storage and stays
+// off the list, as GrowPos does), the CSR adjacency accessors, and the
+// batch engine's per-job worker loop.
 var requiredHotpath = map[string][]string{
 	"flb/internal/par": {
 		"Engine.work",
@@ -60,7 +61,7 @@ var requiredHotpath = map[string][]string{
 		"flbState.updateProcLists", "flbState.updateReadyTasks", "flbState.classifyReady",
 	},
 	"flb/internal/pq": {
-		"Heap.Push", "Heap.Pop", "Heap.Peek", "Heap.Remove", "Heap.Update", "Heap.PushOrUpdate",
+		"Heap.Push", "Heap.Pop", "Heap.Peek", "Heap.Remove", "Tree.Set", "Tree.Clear", "Tree.Min",
 	},
 	"flb/internal/graph": {
 		"Graph.SuccEdges", "Graph.PredEdges", "Graph.Edge",

@@ -37,6 +37,14 @@ type Proc = int
 // arrival time (System.RemoteCost), its one-pass effective message
 // arrival time on the enabling processor, and the online rescheduler's
 // cold start onto a compacted survivor set all depend on the last rule.
+//
+// System.CommCost and System.RemoteCost answer a nil or Clique model
+// inline, without calling Cost: a type switch matches exactly those two
+// dynamic types, whose Cost is fixed by these rules (0 within a
+// processor, w between two), so the answer is the same float bit for
+// bit. Every other model, a type that embeds Clique included, is called
+// through the interface. FLB, FCP, the execution engine and
+// schedule.EST read every edge through these two functions.
 type CommModel interface {
 	// Cost returns the communication delay of a message with weight w sent
 	// from processor from to processor to.
@@ -220,10 +228,16 @@ func (s System) Heterogeneous() bool {
 }
 
 // CommCost returns the delay of a message with weight w from processor
-// from to processor to under the system's model.
+// from to processor to under the system's model. A nil or Clique model
+// is answered inline, without an interface call: 0 within a processor,
+// w between two (see CommModel).
 func (s System) CommCost(w float64, from, to Proc) float64 {
-	if s.Comm == nil {
-		return Clique{}.Cost(w, from, to)
+	switch s.Comm.(type) {
+	case nil, Clique:
+		if from == to {
+			return 0
+		}
+		return w
 	}
 	return s.Comm.Cost(w, from, to)
 }
@@ -231,7 +245,12 @@ func (s System) CommCost(w float64, from, to Proc) float64 {
 // RemoteCost returns the delay of a message with weight w between two
 // *distinct* processors. The paper's machine model is homogeneous (§2), so
 // the cost of a remote message does not depend on which two processors are
-// involved; this is what the LMT computation needs.
+// involved; this is what the LMT computation needs. Under a nil or Clique
+// model it is w itself.
 func (s System) RemoteCost(w float64) float64 {
-	return s.CommCost(w, 0, -1)
+	switch s.Comm.(type) {
+	case nil, Clique:
+		return w
+	}
+	return s.Comm.Cost(w, 0, -1)
 }

@@ -34,6 +34,61 @@ func TestCliqueSymmetryProperty(t *testing.T) {
 	}
 }
 
+// shadowClique embeds Clique but defines its own Cost, so it is a
+// different model that the Clique fast path must not capture. It counts
+// its calls.
+type shadowClique struct {
+	Clique
+	calls *int
+}
+
+func (m shadowClique) Cost(w float64, from, to Proc) float64 {
+	*m.calls++
+	if from == to {
+		return 0
+	}
+	return 2*w + 1
+}
+
+// TestCommCostFastPath: CommCost and RemoteCost return, bit for bit,
+// what the model's Cost returns through the interface (Clique's for a
+// nil model) — for the models answered inline and for the rest — and
+// every model other than Clique is still called.
+func TestCommCostFastPath(t *testing.T) {
+	calls := 0
+	models := []CommModel{nil, Clique{}, &Clique{}, shadowClique{calls: &calls}, LatencyBandwidth{Latency: 2, Bandwidth: 4}}
+	weights := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1.5, 3, math.MaxFloat64, math.Inf(1)}
+	pairs := [][2]Proc{{0, 0}, {3, 3}, {0, 1}, {1, 0}, {2, 7}, {0, -1}}
+	for _, m := range models {
+		sys := System{P: 8, Comm: m}
+		ref := m
+		if ref == nil {
+			ref = Clique{}
+		}
+		for _, w := range weights {
+			for _, pr := range pairs {
+				got, want := sys.CommCost(w, pr[0], pr[1]), ref.Cost(w, pr[0], pr[1])
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%T: CommCost(%v, %d, %d) = %v, Cost says %v", m, w, pr[0], pr[1], got, want)
+				}
+			}
+			got, want := sys.RemoteCost(w), ref.Cost(w, 0, -1)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%T: RemoteCost(%v) = %v, Cost says %v", m, w, got, want)
+			}
+		}
+	}
+	// The reference loop calls shadowClique.Cost once per CommCost and
+	// once per RemoteCost; the System methods must have called it too.
+	if want := 2 * len(weights) * (len(pairs) + 1); calls != want {
+		t.Errorf("shadowClique.Cost called %d times, want %d", calls, want)
+	}
+	lb := System{P: 2, Comm: LatencyBandwidth{Latency: 2, Bandwidth: 4}}
+	if got := lb.RemoteCost(8); got != 4 {
+		t.Errorf("LatencyBandwidth RemoteCost(8) = %v, want 4", got)
+	}
+}
+
 func TestLatencyBandwidth(t *testing.T) {
 	m := LatencyBandwidth{Latency: 2, Bandwidth: 4}
 	if got := m.Cost(8, 1, 1); got != 0 {

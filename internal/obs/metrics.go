@@ -21,7 +21,10 @@ type Hist struct {
 	Buckets [histBuckets]int64
 }
 
-// Observe adds one value.
+// Observe adds one value. The bucket of v >= 1 is 1 + its binary
+// exponent, read from the float's bits: exact at every power of two and
+// its neighbours, where math.Log2 can round up, and defined for +Inf,
+// which lands in the last bucket with everything else past its bound.
 func (h *Hist) Observe(v float64) {
 	h.Count++
 	h.Sum += v
@@ -30,10 +33,7 @@ func (h *Hist) Observe(v float64) {
 	}
 	i := 0
 	if v >= 1 {
-		i = 1 + int(math.Log2(v))
-		if i >= histBuckets {
-			i = histBuckets - 1
-		}
+		i = min(int(math.Float64bits(v)>>52&0x7ff)-1022, histBuckets-1)
 	}
 	h.Buckets[i]++
 }

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,6 +127,33 @@ func TestTee(t *testing.T) {
 	}
 	if a.Len() != 24 {
 		t.Errorf("tee receiver Len = %d, want 24", a.Len())
+	}
+}
+
+// TestHistBuckets checks Observe's bucket choice at the edges: each
+// power of two opens its bucket and its float predecessor stays in the
+// one below, values past the last bound (MaxFloat64, +Inf) land in the
+// last bucket, and values below 1 in the first.
+func TestHistBuckets(t *testing.T) {
+	last := len(obs.Hist{}.Buckets) - 1
+	want := map[float64]int{
+		0: 0, 0.5: 0, math.Nextafter(1, 0): 0, -3: 0,
+		math.MaxFloat64: last, math.Inf(1): last,
+	}
+	for k := 0; k <= last+2; k++ {
+		p := math.Ldexp(1, k)
+		want[p] = min(k+1, last)
+		want[math.Nextafter(p, math.Inf(1))] = min(k+1, last)
+		if k > 0 {
+			want[math.Nextafter(p, 0)] = min(k, last)
+		}
+	}
+	for v, w := range want {
+		var h obs.Hist
+		h.Observe(v)
+		if h.Buckets[w] != 1 {
+			t.Errorf("Observe(%v): buckets %v, want bucket %d", v, h.Buckets, w)
+		}
 	}
 }
 

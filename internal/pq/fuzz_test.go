@@ -18,7 +18,8 @@ var fuzzKeys = []float64{
 }
 
 // FuzzHeap drives two heaps sharing one position store through a random
-// operation sequence and checks them against a map-based reference model:
+// sequence of Push, Pop and Remove and checks them against a map-based
+// reference model:
 // membership, keys, and — after every mutation batch — the full pop order
 // against a sort by the same (primary, secondary, id) total order. It also
 // exercises Reset-and-reuse, the lifecycle the scheduler arenas depend on.
@@ -54,7 +55,7 @@ func FuzzHeap(f *testing.F) {
 			h := int(op>>6) & 1 // which heap
 			id := int(next(&i)) % n
 			key := Key{Primary: fuzzKeys[int(next(&i))%len(fuzzKeys)], Secondary: fuzzKeys[int(next(&i))%len(fuzzKeys)]}
-			switch op % 5 {
+			switch op % 3 {
 			case 0:
 				// Push is only legal for absent ids: an id may live in at
 				// most one heap of a shared store at a time.
@@ -81,16 +82,6 @@ func FuzzHeap(f *testing.F) {
 					t.Fatalf("Remove(%d) = %v, model membership %v", id, removed, inModel)
 				}
 				delete(models[h], id)
-			case 3:
-				if heaps[h].Contains(id) {
-					heaps[h].Update(id, key)
-					models[h][id] = key
-				}
-			case 4:
-				if !heaps[0].Contains(id) && !heaps[1].Contains(id) || heaps[h].Contains(id) {
-					heaps[h].PushOrUpdate(id, key)
-					models[h][id] = key
-				}
 			}
 			check(t, heaps[0], models[0])
 			check(t, heaps[1], models[1])
@@ -125,6 +116,63 @@ func FuzzHeap(f *testing.F) {
 				k := Key{Primary: float64((j * 7) % 5), Secondary: float64(j % 3)}
 				heaps[j%2].Push(j, k)
 				models[j%2][j] = k
+			}
+		}
+	})
+}
+
+// FuzzTree drives one Tree through a random sequence of Set, Clear and
+// re-Init over 1 to 70 ids — powers of two and not — and after every
+// operation checks Min and Len against a brute-force argmin of a
+// reference model by Key.Less, then id. The first byte picks the id
+// range; then each operation takes four bytes: the operation, the id (or
+// the new range), and two fuzzKeys indices for the key.
+func FuzzTree(f *testing.F) {
+	f.Add([]byte{15, 0, 3, 1, 2, 0, 7, 4, 4, 1, 3, 0, 0, 0, 9, 5, 5})
+	f.Add([]byte{63, 0, 0, 0, 0, 0, 63, 0, 0, 1, 0, 0, 0, 1, 63, 0, 0, 2, 63, 0, 0})
+	// −0 and +0 tie on both key components, so the smaller id must win;
+	// then the minimum is cleared and the tie resolves again.
+	f.Add([]byte{4, 0, 3, 13, 13, 0, 1, 0, 0, 0, 2, 13, 0, 2, 1, 0, 0, 1, 3, 0, 0})
+	// Every special value as a primary, set in descending order.
+	f.Add([]byte{15, 0, 0, 15, 0, 0, 1, 14, 0, 0, 2, 12, 0, 0, 3, 13, 0, 0, 4, 0, 0,
+		0, 5, 11, 0, 0, 6, 10, 0, 0, 7, 9, 0, 0, 8, 8, 0})
+	// Shrink and grow the range across re-Inits (storage reuse).
+	f.Add([]byte{69, 0, 68, 1, 2, 3, 2, 0, 0, 0, 1, 5, 5, 3, 40, 0, 0, 0, 39, 15, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		const maxIDs = 70
+		n := 1 + int(data[0])%maxIDs
+		var tr Tree
+		tr.Init(n)
+		model := map[int]Key{}
+		for i := 1; i+3 < len(data); i += 4 {
+			op, id := data[i], int(data[i+1])
+			key := Key{Primary: fuzzKeys[int(data[i+2])%len(fuzzKeys)], Secondary: fuzzKeys[int(data[i+3])%len(fuzzKeys)]}
+			switch op % 4 {
+			case 0, 1:
+				tr.Set(id%n, key)
+				model[id%n] = key
+			case 2:
+				tr.Clear(id % n)
+				delete(model, id%n)
+			case 3:
+				n = 1 + id%maxIDs
+				tr.Init(n)
+				model = map[int]Key{}
+			}
+			if tr.Len() != len(model) {
+				t.Fatalf("Len = %d, model has %d", tr.Len(), len(model))
+			}
+			gotID, gotKey, ok := tr.Min()
+			if ok != (len(model) > 0) {
+				t.Fatalf("Min ok=%v with %d modeled entries", ok, len(model))
+			}
+			if ok {
+				if wantID, wantKey := minOf(model); gotID != wantID || gotKey != wantKey {
+					t.Fatalf("Min = (%d, %+v), reference model says (%d, %+v)", gotID, gotKey, wantID, wantKey)
+				}
 			}
 		}
 	})

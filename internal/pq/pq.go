@@ -1,23 +1,30 @@
-// Package pq provides indexed min-heaps used by the scheduling
-// algorithms in this module.
+// Package pq provides the indexed priority lists of the scheduling
+// algorithms in this module: heaps for task lists, trees for processor
+// lists.
 //
 // The paper's pseudocode manipulates sorted lists through four operations:
 // Enqueue, Dequeue (pop the head), RemoveItem (delete by identity) and
-// BalanceList (re-establish order after a priority change). An indexed
-// heap supports all four in O(log n), which is exactly what the
-// complexity analysis of FLB assumes. Items are identified by small
-// non-negative integer ids (task ids or processor ids), so the position
-// index is a dense slice rather than a map.
+// BalanceList (re-establish order after a priority change). Items are
+// identified by small non-negative integer ids (task ids or processor
+// ids), so nothing needs a map.
 //
-// The implementation is a flat 4-ary heap of 24-byte records: each entry
-// holds both key components, encoded as order-preserving unsigned
-// integers, next to its id, so the tree is half as deep as a binary
-// heap's and a comparison is one three-word subtract-with-borrow chain
-// with no data-dependent branch. Sifts carry the moving record in a hole
-// and write it once. The pop order is defined entirely by Key.Less — a
-// total order — so it is independent of the heap arity, layout and key
-// encoding; switching the representation cannot change which item any
-// Peek/Pop returns.
+// Heap holds a task list: any subset of a large id range, entering and
+// leaving as tasks become ready and are placed. It is a flat 4-ary heap
+// of 24-byte records with a dense position index: each entry holds both
+// key components, encoded as order-preserving unsigned integers, next to
+// its id, so the tree is half as deep as a binary heap's and a comparison
+// is one three-word subtract-with-borrow chain with no data-dependent
+// branch. Sifts carry the moving record in a hole and write it once.
+//
+// Tree holds a processor list: a fixed dense id range [0, n) whose ids
+// are mostly present and whose keys change every step. It is a complete
+// binary winner tree over the same records, one leaf per id, so a key
+// change is one leaf-to-root walk of ⌈log₂ n⌉ compares with no position
+// store and no swaps.
+//
+// Both order entries by Key.Less — a total order — so which item a
+// Heap's Peek or a Tree's Min returns is independent of the arity, the
+// layout and the key encoding.
 package pq
 
 import (
@@ -97,17 +104,22 @@ func (it item) key() Key {
 	return Key{Primary: dec(it.prim), Secondary: dec(it.sec)}
 }
 
-// less orders entries as Key.Less orders their keys: it compares
-// (prim, sec, id) as one 192-bit unsigned number, which is smaller exactly
-// when the subtraction a − b borrows out of its top word. Ids are
-// non-negative, so their uint64 image keeps their order.
+// less orders entries as Key.Less orders their keys.
 //
 //flb:hotpath
-func less(a, b item) bool {
+func less(a, b item) bool { return lessBit(a, b) != 0 }
+
+// lessBit is less as 1 or 0: it compares (prim, sec, id) as one 192-bit
+// unsigned number, which is smaller exactly when the subtraction a − b
+// borrows out of its top word. Ids are non-negative, so their uint64
+// image keeps their order.
+//
+//flb:hotpath
+func lessBit(a, b item) uint64 {
 	_, borrow := bits.Sub64(uint64(a.id), uint64(b.id), 0)
 	_, borrow = bits.Sub64(a.sec, b.sec, borrow)
 	_, borrow = bits.Sub64(a.prim, b.prim, borrow)
-	return borrow != 0
+	return borrow
 }
 
 // Heap is an indexed 4-ary min-heap over items with dense integer ids in
@@ -216,7 +228,7 @@ func (h *Heap) Key(id int) Key {
 }
 
 // Push inserts id with the given key. It panics if id is already enqueued;
-// use Update to change an existing key.
+// Remove it first to change its key.
 //
 //flb:hotpath
 func (h *Heap) Push(id int, key Key) {
@@ -261,30 +273,6 @@ func (h *Heap) Remove(id int) bool {
 	}
 	h.removeAt(p)
 	return true
-}
-
-// Update changes the key of id, restoring heap order (the paper's
-// BalanceList). It panics if id is not enqueued.
-//
-//flb:hotpath
-func (h *Heap) Update(id int, key Key) {
-	p := h.indexOf(id)
-	if p < 0 {
-		panic("pq: Update of item not in heap")
-	}
-	h.fix(p, mk(id, key))
-}
-
-// PushOrUpdate inserts id or, if already present, changes its key.
-//
-//flb:hotpath
-func (h *Heap) PushOrUpdate(id int, key Key) {
-	if p := h.indexOf(id); p >= 0 {
-		h.fix(p, mk(id, key))
-		return
-	}
-	h.items = append(h.items, item{})
-	h.up(len(h.items)-1, mk(id, key))
 }
 
 // removeAt deletes the entry at index p: the last record fills the hole.

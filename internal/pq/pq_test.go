@@ -67,25 +67,6 @@ func TestSecondaryAndIDTieBreak(t *testing.T) {
 	}
 }
 
-func TestUpdateMovesItem(t *testing.T) {
-	h := New(3)
-	h.Push(0, Key{Primary: 10})
-	h.Push(1, Key{Primary: 20})
-	h.Push(2, Key{Primary: 30})
-
-	h.Update(2, Key{Primary: 5}) // decrease-key: should float to top
-	if id, _, _ := h.Peek(); id != 2 {
-		t.Fatalf("after decrease-key, head = %d, want 2", id)
-	}
-	h.Update(2, Key{Primary: 25}) // increase-key: should sink
-	if id, _, _ := h.Peek(); id != 0 {
-		t.Fatalf("after increase-key, head = %d, want 0", id)
-	}
-	if got := h.Key(2).Primary; got != 25 {
-		t.Errorf("Key(2).Primary = %v, want 25", got)
-	}
-}
-
 func TestRemoveMiddle(t *testing.T) {
 	h := New(8)
 	for id := 0; id < 8; id++ {
@@ -109,16 +90,6 @@ func TestRemoveMiddle(t *testing.T) {
 	}
 }
 
-func TestPushOrUpdate(t *testing.T) {
-	h := New(2)
-	h.PushOrUpdate(0, Key{Primary: 7})
-	h.PushOrUpdate(1, Key{Primary: 3})
-	h.PushOrUpdate(0, Key{Primary: 1}) // update existing
-	if id, k, _ := h.Peek(); id != 0 || k.Primary != 1 {
-		t.Fatalf("head = (%d,%v), want (0,1)", id, k.Primary)
-	}
-}
-
 func TestPushDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -128,15 +99,6 @@ func TestPushDuplicatePanics(t *testing.T) {
 	h := New(1)
 	h.Push(0, Key{})
 	h.Push(0, Key{})
-}
-
-func TestUpdateMissingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Update of missing id did not panic")
-		}
-	}()
-	New(1).Update(0, Key{})
 }
 
 func TestKeyMissingPanics(t *testing.T) {
@@ -149,7 +111,7 @@ func TestKeyMissingPanics(t *testing.T) {
 }
 
 // TestRandomOperationsAgainstOracle drives the heap with random
-// push/pop/update/remove sequences and checks every observable against a
+// push/pop/re-key/remove sequences and checks every observable against a
 // naive sorted-slice oracle.
 func TestRandomOperationsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -169,9 +131,10 @@ func TestRandomOperationsAgainstOracle(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			id := rng.Intn(n)
 			switch rng.Intn(5) {
-			case 0, 1: // push or update
+			case 0, 1: // push, or re-key by Remove then Push
 				k := Key{Primary: float64(rng.Intn(20)), Secondary: float64(rng.Intn(3))}
-				h.PushOrUpdate(id, k)
+				h.Remove(id)
+				h.Push(id, k)
 				oracle[id] = k
 			case 2: // pop
 				wantID, any := min()
