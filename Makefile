@@ -62,12 +62,13 @@ hetero:
 	$(GO) run ./cmd/flbbench -exp hetero
 
 # Facade benchmarks, plus the two that walk CSR edge windows hardest
-# (the memo fingerprint and FLB placement on LU at V≈2000), the
-# fig2-place matrix on one reused Scheduler, the indexed heap and tree,
-# and one cold flbd request through the HTTP handler.
+# (the memo fingerprint and FLB placement on LU at V≈2000), the memo
+# cache's insert and exact hit on a warm 64-entry cache, the fig2-place
+# matrix on one reused Scheduler, the indexed heap and tree, and one cold
+# flbd request through the HTTP handler.
 bench:
 	$(GO) test -run '^$$' -bench 'Fig2|Scaling|Execute' -benchmem .
-	$(GO) test -run '^$$' -bench '^BenchmarkKeyOf$$' -benchmem ./internal/memo
+	$(GO) test -run '^$$' -bench '^Benchmark(KeyOf|CachePut|CacheHit)$$' -benchmem ./internal/memo
 	$(GO) test -run '^$$' -bench '^Benchmark(FLB_LU2000_P32|Fig2Matrix)$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^Benchmark(PushPop|TreeSet)$$' -benchmem ./internal/pq
 	$(GO) test -run '^$$' -bench '^BenchmarkServeMiss$$' -benchmem ./internal/svc

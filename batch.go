@@ -84,8 +84,8 @@ func RunBatch(graphs []*Graph, opts ...Option) ([]*Schedule, error) {
 			// job; the slot keeps its own copy.
 			out[i] = s.Clone()
 			if o.cache != nil {
-				// Put deep-copies; concurrent misses on one problem insert
-				// identical entries (the second is a touch).
+				// Put copies the placements; concurrent misses on one
+				// problem insert identical entries (the second is a touch).
 				o.cache.Put(graphs[i], sys, key, s)
 			}
 			return nil

@@ -5,22 +5,27 @@ import "flb/internal/memo"
 // ScheduleCache memoizes finished FLB schedules across Run and RunBatch
 // calls (internal/memo): problems are keyed by a canonical
 // fingerprint over graph structure, task and edge weights, processor
-// count, communication model, algorithm and seed, and a fixed-capacity
-// LRU holds deep copies of the results.
+// count, speeds, communication model, algorithm and seed, and a
+// fixed-capacity LRU holds each result's placement record — one
+// (task, processor, start) triple per task, 16 bytes, and nothing of the
+// submitted graph, which the cache never keeps alive.
 //
-// An exact hit — same fingerprint — returns a schedule byte-identical to
-// what the cold run would produce (scheduler determinism guarantees the
-// cached bytes ARE the cold bytes), rebound to the submitted graph so
-// names and communication model are the caller's. Graph and task names
-// are deliberately not fingerprinted: resubmitting a renamed copy of a
+// An exact hit — same fingerprint — replays the record on the submitted
+// graph and system, so names and communication model are the caller's,
+// and returns a schedule byte-identical to what the cold run would
+// produce: the fingerprint covers every weight and speed bit, so the
+// replayed finish times are the cold ones. Graph and task names are
+// deliberately not fingerprinted: resubmitting a renamed copy of a
 // cached problem hits.
 //
-// The optional near-hit tier (EnableNearHit, default off) also answers
-// structure-equal problems whose trailing weights drifted, by replaying
-// the unaffected placement prefix and list-scheduling only the suffix.
-// Near-hit schedules are valid and deterministic but labeled
-// "flb-nearhit" and not identical to a cold FLB run; see DESIGN.md §13
-// for when that trade is sound.
+// The optional near-hit tier (EnableNearHit, default off; turn it on
+// before inserting, because only entries inserted while it is on carry
+// the weight snapshot it repairs from) also answers structure-equal
+// problems whose trailing weights drifted, by replaying the unaffected
+// placement prefix and list-scheduling only the suffix. Near-hit
+// schedules are valid and deterministic but labeled "flb-nearhit" and
+// not identical to a cold FLB run; see DESIGN.md §13 for when that trade
+// is sound.
 //
 // Scope and contract:
 //
@@ -34,7 +39,8 @@ import "flb/internal/memo"
 //     near hit would repair against depends on warm order, which under
 //     concurrent misses would break the batch determinism contract.
 //   - Counters (gets, hits, near hits, puts, evictions) are readable via
-//     Stats/HitRate and observable via Telemetry's Cache field.
+//     Stats/HitRate, the memory the entries hold via Bytes, and all of
+//     them with Len and Cap via Telemetry's Cache field.
 type ScheduleCache = memo.Cache
 
 // NewScheduleCache returns an empty schedule cache holding at most

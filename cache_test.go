@@ -207,6 +207,9 @@ func TestCacheObserverContract(t *testing.T) {
 	if m.Cache.Len != 1 || m.Cache.Cap != 8 {
 		t.Errorf("snapshot len/cap = %d/%d, want 1/8", m.Cache.Len, m.Cache.Cap)
 	}
+	if want := int64(16 * g.NumTasks()); m.Cache.Bytes != want || c.Bytes() != want {
+		t.Errorf("snapshot bytes %d, cache bytes %d, want one 16-byte step per task: %d", m.Cache.Bytes, c.Bytes(), want)
+	}
 	// Batch: one snapshot after the batch, cumulative.
 	gs := []*flb.Graph{g, cacheGraph(t, "laplace", 90, 5)}
 	m2 := flb.NewTelemetry()

@@ -52,7 +52,7 @@ func run(args []string, logw io.Writer) error {
 		addr      = fs.String("addr", ":8080", "listen address")
 		workers   = fs.Int("workers", 0, "scheduling workers (0 = GOMAXPROCS)")
 		queueCap  = fs.Int("queue", 64, "admission queue capacity; beyond it submissions shed 429")
-		cacheCap  = fs.Int("cache", 512, "schedule memo cache entries (0 disables)")
+		cacheCap  = fs.Int("cache", 512, "schedule memo cache entries, ≈16 B per task each (0 disables)")
 		seed      = fs.Int64("seed", 1, "base seed for per-request deterministic streams")
 		procs     = fs.Int("procs", 8, "default processor count for submissions without ?procs")
 		maxProcs  = fs.Int("max-procs", 4096, "largest accepted ?procs")

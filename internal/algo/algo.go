@@ -91,6 +91,10 @@ func (rt *ReadyTracker) Reset(g *graph.Graph) {
 	}
 }
 
+// Release drops the tracker's graph, keeping its arrays for the next
+// Reset, so an idle arena does not keep the graph alive.
+func (rt *ReadyTracker) Release() { rt.g = nil }
+
 // Initial returns the initially ready (entry) tasks in increasing ID order.
 // The returned slice must not be modified.
 func (rt *ReadyTracker) Initial() []int { return rt.g.EntryTasks() }

@@ -111,8 +111,12 @@ func CacheSweep(cfg Config) (*CacheResult, error) {
 	// run (untimed — JSON serialization litters the heap, and its GC debt
 	// must not land inside a timed lookup), then time cacheWarmRounds
 	// rounds of exact lookups. Each timed region is the full cost the
-	// facade pays on a hit: the fingerprint walk plus the deep copy.
+	// facade pays on a hit: the fingerprint walk plus the record replay.
+	// The near tier is on from the start, because Put snapshots the
+	// weights it repairs from only while it is on; exact lookups never
+	// consult it.
 	cache := memo.NewCache(2 * len(insts))
+	cache.EnableNearHit(true)
 	for _, in := range insts {
 		s, err := sc.Schedule(in.g, sys)
 		if err != nil {
@@ -151,9 +155,8 @@ func CacheSweep(cfg Config) (*CacheResult, error) {
 
 	// Near tier: drift the computation cost of the tasks in the trailing
 	// quarter of each cold schedule's placement order, then look the
-	// variant up with the near tier enabled. Asserts validity and
-	// byte-stability of every answer.
-	cache.EnableNearHit(true)
+	// variant up with the near tier. Asserts validity and byte-stability
+	// of every answer.
 	var nearMS []float64
 	for _, in := range insts {
 		base, err := sc.Schedule(in.g, sys)

@@ -116,3 +116,34 @@ func TestStatelessScheduleAllocBudget(t *testing.T) {
 		t.Errorf("stateless FLB.Schedule allocates %.1f/run, want <= 200", avg)
 	}
 }
+
+// TestSchedulerReleaseKeepsCapacity: Release drops the arena's graph but
+// none of its storage, so scheduling after a Release still allocates
+// nothing, and the schedule is the one a fresh arena produces.
+func TestSchedulerReleaseKeepsCapacity(t *testing.T) {
+	g, err := workload.Instance("lu", 500, 1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Freeze()
+	sys := machine.NewSystem(8)
+	want, err := NewScheduler(FLB{}).Schedule(g, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScheduler(FLB{})
+	run := func() {
+		s, err := sc.Schedule(g, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Makespan() != want.Makespan() {
+			t.Fatalf("makespan after Release %v, want %v", s.Makespan(), want.Makespan())
+		}
+		sc.Release()
+	}
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("Schedule after Release allocates %.1f/run, want 0", avg)
+	}
+}

@@ -335,14 +335,17 @@ func (st *flbState) buildClasses(p int) {
 	}
 }
 
-// release drops the references tying the arena to the last run's graph
-// and caller-owned schedule, so a pooled arena does not keep them alive.
+// release drops the references tying the arena to the last run's graph,
+// system and schedule, so a pooled or idle arena does not keep them
+// alive.
 func (st *flbState) release() {
 	st.g = nil
+	st.sys = machine.System{}
 	st.s = nil
 	st.bl = nil
 	st.sink = nil
 	st.ctx = nil
+	st.ready.Release()
 }
 
 // run executes the scheduling loop. The arena must be reset first. The

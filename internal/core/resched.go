@@ -55,6 +55,16 @@ func NewRescheduler() *Rescheduler {
 	return &Rescheduler{sc: NewScheduler(FLB{})}
 }
 
+// Release drops the arena's references to the last repair's graph and
+// plan, keeping all capacity. A plan ReplanSuffix returned is invalid
+// afterwards.
+func (r *Rescheduler) Release() {
+	r.sc.Release()
+	if r.plan != nil {
+		r.plan.Release()
+	}
+}
+
 // Repair implements fault.Repairer.
 func (r *Rescheduler) Repair(req *fault.Request) error {
 	alive := req.AliveCount()
@@ -192,10 +202,11 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 	return nil
 }
 
-// ReplanSuffix rebuilds the tail of a previously computed schedule for a
-// weight-drifted resubmission of the same graph structure: the first k
-// placements of base are replayed bit-identically (task, processor and
-// start time), and the remaining tasks are list-scheduled onto g in
+// ReplanSuffix rebuilds the tail of a previously computed schedule, given
+// as its placement record, for a weight-drifted resubmission of the same
+// graph structure: the first k placements of base are replayed
+// bit-identically (task, processor and start time), and the remaining
+// tasks are list-scheduled onto g in
 // bottom-level priority order (the paper's task priority; ties to the
 // smaller task id), each task placed on the processor achieving its
 // earliest start (ties to the smaller processor index). Selection runs
@@ -206,7 +217,7 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 // (internal/memo).
 //
 // Soundness of the prefix replay requires that for every task in
-// base.PlacementOrder()[:k] the computation cost and every in-edge
+// base's first k steps the computation cost and every in-edge
 // communication cost are unchanged between base's graph and g: placement
 // order is topological, so all predecessors of a replayed task are
 // themselves replayed, their finish times reproduce exactly (unchanged
@@ -224,11 +235,10 @@ func (r *Rescheduler) repairSuffix(req *fault.Request) error {
 //
 // The returned schedule is arena-owned: valid only until the next Repair
 // or ReplanSuffix call on r. Callers that keep it must Clone it.
-func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *schedule.Schedule, k int) (*schedule.Schedule, error) {
+func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *schedule.Record, k int) (*schedule.Schedule, error) {
 	n := g.NumTasks()
-	order := base.PlacementOrder()
-	if len(order) != n {
-		return nil, fmt.Errorf("core: ReplanSuffix base places %d tasks, graph has %d", len(order), n)
+	if base.Len() != n {
+		return nil, fmt.Errorf("core: ReplanSuffix base places %d tasks, graph has %d", base.Len(), n)
 	}
 	if base.NumProcs() != sys.P {
 		return nil, fmt.Errorf("core: ReplanSuffix base has P=%d, system has P=%d", base.NumProcs(), sys.P)
@@ -243,8 +253,8 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 	}
 	r.plan.Algorithm = "flb-nearhit"
 	for i := 0; i < k; i++ {
-		t := order[i]
-		r.plan.Place(t, base.Proc(t), base.Start(t))
+		st := base.Step(i)
+		r.plan.Place(int(st.Task), machine.Proc(st.Proc), st.Start)
 	}
 	if k == n {
 		return r.plan, nil
@@ -253,7 +263,7 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 	r.inPlan = growBool(r.inPlan, n)
 	clear(r.inPlan)
 	for i := k; i < n; i++ {
-		r.inPlan[order[i]] = true
+		r.inPlan[base.Step(i).Task] = true
 	}
 	r.pending = growInt(r.pending, n)
 	// Priority: larger bottom level first (negated key), ties to the
@@ -261,7 +271,7 @@ func (r *Rescheduler) ReplanSuffix(g *graph.Graph, sys machine.System, base *sch
 	// replan is deterministic.
 	r.readyQ.Grow(n)
 	for i := k; i < n; i++ {
-		t := order[i]
+		t := int(base.Step(i).Task)
 		cnt := 0
 		for _, ei := range g.PredEdges(t) {
 			if r.inPlan[g.Edge(int(ei)).From] {

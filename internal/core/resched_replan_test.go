@@ -32,6 +32,13 @@ func replanProblem(t *testing.T, seed int64, n, procs, k int) (*graph.Graph, mac
 	return g, sys, base, drifted
 }
 
+// recordOf returns s's placement record, the form ReplanSuffix takes.
+func recordOf(s *schedule.Schedule) *schedule.Record {
+	var r schedule.Record
+	r.Fill(s)
+	return &r
+}
+
 func replanBytes(t *testing.T, s *schedule.Schedule) string {
 	t.Helper()
 	var b strings.Builder
@@ -47,7 +54,7 @@ func TestReplanSuffixPrefixReplay(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		_, sys, base, drifted := replanProblem(t, seed, 40, 4, 20)
 		re := NewRescheduler()
-		s, err := re.ReplanSuffix(drifted, sys, base, 20)
+		s, err := re.ReplanSuffix(drifted, sys, recordOf(base), 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,14 +82,15 @@ func TestReplanSuffixPrefixReplay(t *testing.T) {
 // contract rides on.
 func TestReplanSuffixDeterministic(t *testing.T) {
 	_, sys, base, drifted := replanProblem(t, 3, 50, 4, 25)
+	rec := recordOf(base)
 	r1 := NewRescheduler()
-	s1, err := r1.ReplanSuffix(drifted, sys, base, 25)
+	s1, err := r1.ReplanSuffix(drifted, sys, rec, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := replanBytes(t, s1.Clone())
 	// A fresh arena.
-	s2, err := NewRescheduler().ReplanSuffix(drifted, sys, base, 25)
+	s2, err := NewRescheduler().ReplanSuffix(drifted, sys, rec, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestReplanSuffixDeterministic(t *testing.T) {
 		t.Errorf("fresh arena replans differently")
 	}
 	// The same arena again (history independence).
-	s3, err := r1.ReplanSuffix(drifted, sys, base, 25)
+	s3, err := r1.ReplanSuffix(drifted, sys, rec, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +110,7 @@ func TestReplanSuffixDeterministic(t *testing.T) {
 // TestReplanSuffixFullReplay: k = n replays the whole base schedule.
 func TestReplanSuffixFullReplay(t *testing.T) {
 	g, sys, base, _ := replanProblem(t, 4, 30, 3, 30)
-	s, err := NewRescheduler().ReplanSuffix(g, sys, base, g.NumTasks())
+	s, err := NewRescheduler().ReplanSuffix(g, sys, recordOf(base), g.NumTasks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +123,15 @@ func TestReplanSuffixFullReplay(t *testing.T) {
 
 func TestReplanSuffixErrors(t *testing.T) {
 	g, sys, base, drifted := replanProblem(t, 5, 30, 3, 15)
+	rec := recordOf(base)
 	re := NewRescheduler()
-	if _, err := re.ReplanSuffix(drifted, sys, base, -1); err == nil {
+	if _, err := re.ReplanSuffix(drifted, sys, rec, -1); err == nil {
 		t.Errorf("negative k accepted")
 	}
-	if _, err := re.ReplanSuffix(drifted, sys, base, g.NumTasks()+1); err == nil {
+	if _, err := re.ReplanSuffix(drifted, sys, rec, g.NumTasks()+1); err == nil {
 		t.Errorf("k beyond the task count accepted")
 	}
-	if _, err := re.ReplanSuffix(drifted, machine.NewSystem(5), base, 15); err == nil {
+	if _, err := re.ReplanSuffix(drifted, machine.NewSystem(5), rec, 15); err == nil {
 		t.Errorf("processor-count mismatch accepted")
 	}
 	bigger := graph.New("bigger")
@@ -130,7 +139,7 @@ func TestReplanSuffixErrors(t *testing.T) {
 		bigger.AddTask(1)
 	}
 	bigger.Freeze()
-	if _, err := re.ReplanSuffix(bigger, sys, base, 0); err == nil {
+	if _, err := re.ReplanSuffix(bigger, sys, rec, 0); err == nil {
 		t.Errorf("task-count mismatch accepted")
 	}
 }
@@ -140,9 +149,10 @@ func TestReplanSuffixErrors(t *testing.T) {
 // ready heap are arena storage grown on the first call and reused.
 func TestReplanSuffixSteadyStateAllocs(t *testing.T) {
 	_, sys, base, drifted := replanProblem(t, 6, 200, 4, 50)
+	rec := recordOf(base)
 	re := NewRescheduler()
 	run := func() {
-		if _, err := re.ReplanSuffix(drifted, sys, base, 50); err != nil {
+		if _, err := re.ReplanSuffix(drifted, sys, rec, 50); err != nil {
 			t.Fatal(err)
 		}
 	}

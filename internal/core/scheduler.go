@@ -79,6 +79,17 @@ func (sc *Scheduler) scheduleCtx(ctx context.Context, g *graph.Graph, sys machin
 	return sc.out, nil
 }
 
+// Release drops every reference the arena holds to the last run's graph,
+// system and output schedule, keeping all capacity, so an idle arena pins
+// none of them. The schedule the last Schedule call returned is invalid
+// afterwards; the next Schedule call re-targets the arena as usual.
+func (sc *Scheduler) Release() {
+	sc.st.release()
+	if sc.out != nil {
+		sc.out.Release()
+	}
+}
+
 // Grow pre-sizes the arena for graphs of up to v tasks on systems of up
 // to p processors, so a subsequent Schedule call performs its growth
 // allocations here instead of interleaved with the scheduling loop —

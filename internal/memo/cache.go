@@ -35,25 +35,33 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.NearHits) * 100 / float64(s.Gets)
 }
 
-// entry is one cached schedule. Entries are pre-allocated in a fixed
-// slice and linked intrusively (prev/next indexes) into the LRU list and
-// the free list, so steady-state churn moves indexes around instead of
-// allocating nodes; the per-entry weight arrays are arenas that survive
-// eviction and are regrown in place for the replacing schedule.
+// entry is one cached answer. Entries are pre-allocated in a fixed slice
+// and linked intrusively (prev/next indexes) into the LRU list and the
+// free list, so steady-state churn moves indexes around instead of
+// allocating nodes; the record and snapshot arrays are arenas that
+// survive eviction and are refilled in place for the replacing problem.
+// An entry holds no graph and no schedule, so it keeps nothing of the
+// submitted problem alive.
 type entry struct {
-	key   Key
-	sched *schedule.Schedule // deep copy; owned by the cache
+	key Key
+	rec schedule.Record // the cached placements; owned by the cache
 
-	// Weight snapshot of the cached problem, used by the near-hit tier to
-	// locate the first drifted placement: comps[t] is task t's computation
-	// cost; comms packs every in-edge communication cost in per-task
-	// window order (the KeyOf walk); pos[t] is t's position in the cached
-	// schedule's placement order.
+	// Weight snapshot of the cached problem, taken only when the near-hit
+	// tier was on at insertion (snap), used by that tier to locate the
+	// first drifted placement: comps[t] is task t's computation cost;
+	// comms packs every in-edge communication cost in per-task window
+	// order (the KeyOf walk).
+	snap  bool
 	comps []float64
 	comms []float64
-	pos   []int
 
 	prev, next int
+}
+
+// bytes returns the bytes held by the entry's record and snapshot
+// arenas.
+func (e *entry) bytes() int64 {
+	return int64(e.rec.Bytes() + 8*cap(e.comps) + 8*cap(e.comms))
 }
 
 // Cache is a fixed-capacity LRU cache of finished schedules keyed by
@@ -61,14 +69,17 @@ type entry struct {
 // (one mutex guards the whole cache), so a single Cache can back a batch
 // engine's worker pool.
 //
-// Get answers an exact hit — Full fingerprints equal — with a deep copy
-// of the cached schedule rebound to the caller's graph; by the
-// determinism of the scheduler, that copy is byte-identical to what a
-// cold run on the submitted problem would produce. With the near-hit
-// tier enabled (EnableNearHit) and permitted by the caller, a lookup
-// whose Shape matches a cached entry but whose trailing weights drifted
-// is answered by replaying the unaffected placement prefix and repairing
-// only the suffix via core.Rescheduler — deterministic, valid, labeled
+// An entry is a placement record (schedule.Record): the cached run's
+// (task, processor, start) triples in placement order, 16 bytes per
+// task, plus its algorithm label and P. Get answers an exact hit — Full
+// fingerprints equal — by replaying the record on the caller's graph and
+// system; because the Full key covers every weight and speed bit, the
+// replay is byte-identical to what a cold run on the submitted problem
+// would produce. With the near-hit tier enabled (EnableNearHit) and
+// permitted by the caller, a lookup whose Shape matches an entry inserted
+// while the tier was on, but whose trailing weights drifted, is answered
+// by replaying the unaffected placement prefix and repairing only the
+// suffix via core.Rescheduler — deterministic, valid, labeled
 // "flb-nearhit", but not the cold schedule (see DESIGN.md §13). Near-hit
 // results are never inserted back into the cache: their Full key must
 // keep mapping to the cold schedule so later exact hits stay
@@ -93,11 +104,18 @@ type Cache struct {
 	free int
 	//flb:guarded-by mu
 	len int
+	// bytes is the sum of the entries' arena bytes.
+	//flb:guarded-by mu
+	bytes int64
 	//flb:guarded-by mu
 	near bool
-	// re is the private repair arena of the near-hit tier.
+	// re is the private repair arena of the near-hit tier, and pos its
+	// scratch: pos[t] is task t's position in the repaired entry's
+	// placement order.
 	//flb:guarded-by mu
 	re *core.Rescheduler
+	//flb:guarded-by mu
+	pos []int
 	//flb:guarded-by mu
 	stats Stats
 }
@@ -124,10 +142,12 @@ func NewCache(capacity int) *Cache {
 }
 
 // EnableNearHit switches the near-hit suffix-repair tier on or off
-// (default off). Callers still gate it per lookup via Get's allowNear —
-// the batch engine always passes false, because which entry a near hit
-// repairs against depends on cache-warm order and would break batch
-// determinism under concurrent misses.
+// (default off). Turn it on before inserting: Put takes the weight
+// snapshot the tier repairs from only while the tier is on, so an entry
+// inserted while it was off is never repaired. Callers still gate it per
+// lookup via Get's allowNear — the batch engine always passes false,
+// because which entry a near hit repairs against depends on cache-warm
+// order and would break batch determinism under concurrent misses.
 func (c *Cache) EnableNearHit(on bool) {
 	c.mu.Lock()
 	c.near = on
@@ -146,6 +166,15 @@ func (c *Cache) Len() int {
 //flb:unguarded entries is allocated once in NewCache and never resized; its length is immutable
 func (c *Cache) Cap() int { return len(c.entries) }
 
+// Bytes returns the bytes the entries' placement records and weight
+// snapshots hold (their arenas' capacity; the maps, the fixed per-entry
+// bookkeeping and the near tier's repair scratch are not counted).
+func (c *Cache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
 // Stats returns a snapshot of the cumulative counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
@@ -153,8 +182,10 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// StatsEvent returns the counters as the observability event emitted by
-// the facade after cached runs.
+// StatsEvent returns the counters, the entry count and the bytes held as
+// the observability event emitted by the facade after cached runs. All
+// fields come from one critical section, so Len always equals Puts minus
+// Evictions since the last Reset.
 func (c *Cache) StatsEvent() obs.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,18 +197,18 @@ func (c *Cache) StatsEvent() obs.CacheStats {
 		Evictions: c.stats.Evictions,
 		Len:       c.len,
 		Cap:       len(c.entries),
+		Bytes:     c.bytes,
 	}
 }
 
 // Reset empties the cache and zeroes the counters, keeping the entry
-// arenas' capacity.
+// arenas (still counted by Bytes) for the next Puts to refill.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	clear(c.full)
 	clear(c.shape)
 	for i := range c.entries {
-		c.entries[i].sched = nil
 		c.entries[i].key = Key{}
 		c.entries[i].next = i + 1
 	}
@@ -186,15 +217,20 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
-// Get looks the problem up by key. On an exact hit it returns a deep copy
-// of the cached schedule rebound to g and sys; on a near hit (tier
-// enabled and allowNear true) it returns the suffix-repaired schedule.
-// The second result reports whether either tier answered.
+// Get looks the problem up by key. On an exact hit it returns the cached
+// placements replayed on g and sys; on a near hit (tier enabled and
+// allowNear true) it returns the suffix-repaired schedule. The second
+// result reports whether either tier answered. An entry whose task count
+// or P differs from (g, sys) — a fingerprint collision — answers neither.
 func (c *Cache) Get(g *graph.Graph, sys machine.System, key Key, allowNear bool) (*schedule.Schedule, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Gets++
 	if i, ok := c.full[key.Full]; ok {
+		e := &c.entries[i]
+		if !e.rec.Fits(g, sys) {
+			return nil, false
+		}
 		c.touch(i)
 		// The shape pointer tracks the most recently used entry per
 		// structure, so a drifted resubmission repairs against the weights
@@ -202,7 +238,7 @@ func (c *Cache) Get(g *graph.Graph, sys machine.System, key Key, allowNear bool)
 		// not whichever structure-equal sibling was inserted last.
 		c.shape[key.Shape] = i
 		c.stats.Hits++
-		return c.entries[i].sched.CloneFor(g, sys), true
+		return e.rec.Replay(g, sys), true
 	}
 	if allowNear && c.near {
 		if i, ok := c.shape[key.Shape]; ok {
@@ -216,12 +252,17 @@ func (c *Cache) Get(g *graph.Graph, sys machine.System, key Key, allowNear bool)
 	return nil, false
 }
 
-// Put inserts the schedule for key, deep-copying it (callers may pass
-// arena-owned schedules). A key already present is only touched — by
-// scheduler determinism the stored copy is identical — so concurrent
-// misses on the same problem converge on one entry. The least recently
-// used entry is evicted when the cache is full.
+// Put inserts the schedule for key as a placement record (callers may
+// pass arena-owned schedules; nothing of s or g is retained). A key
+// already present is only touched — by scheduler determinism the stored
+// record is identical — so concurrent misses on the same problem
+// converge on one entry. The least recently used entry is evicted when
+// the cache is full. A schedule that schedule.Recordable rejects
+// (incomplete, duplicated copies, P beyond 32 bits) is not cached.
 func (c *Cache) Put(g *graph.Graph, sys machine.System, key Key, s *schedule.Schedule) {
+	if !schedule.Recordable(s) {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i, ok := c.full[key.Full]; ok {
@@ -245,9 +286,16 @@ func (c *Cache) Put(g *graph.Graph, sys machine.System, key Key, s *schedule.Sch
 		c.stats.Evictions++
 	}
 	e := &c.entries[i]
+	c.bytes -= e.bytes()
 	e.key = key
-	e.sched = s.CloneFor(g, sys)
-	c.snapshotWeights(e, g, s)
+	e.rec.Fill(s)
+	e.snap = c.near
+	if e.snap {
+		snapshotWeights(e, g)
+	} else {
+		e.comps, e.comms = nil, nil
+	}
+	c.bytes += e.bytes()
 	c.full[key.Full] = i
 	c.shape[key.Shape] = i
 	c.pushFront(i)
@@ -256,12 +304,11 @@ func (c *Cache) Put(g *graph.Graph, sys machine.System, key Key, s *schedule.Sch
 }
 
 // snapshotWeights fills the entry's weight arrays from the problem just
-// cached, reusing (and growing) the previous occupant's arenas.
-func (c *Cache) snapshotWeights(e *entry, g *graph.Graph, s *schedule.Schedule) {
+// cached, reusing the previous occupant's arenas.
+func snapshotWeights(e *entry, g *graph.Graph) {
 	n := g.NumTasks()
 	e.comps = growFloat(e.comps, n)
 	e.comms = growFloat(e.comms, g.NumEdges())
-	e.pos = growInt(e.pos, n)
 	ci := 0
 	for t := 0; t < n; t++ {
 		e.comps[t] = g.Comp(t)
@@ -270,22 +317,24 @@ func (c *Cache) snapshotWeights(e *entry, g *graph.Graph, s *schedule.Schedule) 
 			ci++
 		}
 	}
-	for idx, t := range s.PlacementOrder() {
-		e.pos[t] = idx
-	}
 }
 
 // nearHit attempts the suffix repair of entry i for the drifted problem
 // (g, sys): it locates k, the earliest cached placement position whose
 // task changed (computation cost, or any in-edge communication cost),
-// replays positions < k and replans the rest. It returns nil when no
-// strict prefix is reusable (k == 0), when nothing actually drifted, or
-// when the entry's dimensions do not match (a would-be shape collision).
+// replays positions < k and replans the rest. It returns nil when the
+// entry has no weight snapshot, when no strict prefix is reusable
+// (k == 0), when nothing actually drifted, or when the entry's dimensions
+// do not match (a would-be shape collision).
 func (c *Cache) nearHit(i int, g *graph.Graph, sys machine.System) *schedule.Schedule {
 	e := &c.entries[i]
 	n := g.NumTasks()
-	if len(e.comps) != n || len(e.comms) != g.NumEdges() || len(e.pos) != n {
+	if !e.snap || !e.rec.Fits(g, sys) || len(e.comps) != n || len(e.comms) != g.NumEdges() {
 		return nil
+	}
+	c.pos = growInt(c.pos, n)
+	for idx := 0; idx < n; idx++ {
+		c.pos[e.rec.Step(idx).Task] = idx
 	}
 	k := n
 	ci := 0
@@ -297,8 +346,8 @@ func (c *Cache) nearHit(i int, g *graph.Graph, sys machine.System) *schedule.Sch
 			}
 			ci++
 		}
-		if changed && e.pos[t] < k {
-			k = e.pos[t]
+		if changed && c.pos[t] < k {
+			k = c.pos[t]
 		}
 	}
 	if k == 0 || k == n {
@@ -309,7 +358,8 @@ func (c *Cache) nearHit(i int, g *graph.Graph, sys machine.System) *schedule.Sch
 	if c.re == nil {
 		c.re = core.NewRescheduler()
 	}
-	ns, err := c.re.ReplanSuffix(g, sys, e.sched, k)
+	defer c.re.Release()
+	ns, err := c.re.ReplanSuffix(g, sys, &e.rec, k)
 	if err != nil {
 		return nil
 	}
@@ -352,8 +402,10 @@ func (c *Cache) pushFront(i int) {
 	}
 }
 
+// growFloat returns v resized to n, reallocated when too small or more
+// than twice too large (so an arena follows the problem it holds).
 func growFloat(v []float64, n int) []float64 {
-	if cap(v) >= n {
+	if cap(v) >= n && cap(v) <= 2*n {
 		return v[:n]
 	}
 	return make([]float64, n)

@@ -9,6 +9,7 @@ import (
 	"flb/internal/graph"
 	"flb/internal/machine"
 	"flb/internal/schedule"
+	"flb/internal/workload"
 )
 
 func coldSchedule(t testing.TB, g *graph.Graph, sys machine.System) *schedule.Schedule {
@@ -110,41 +111,134 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 }
 
-// TestCacheHitByteIdentity: a hit is byte-identical to the cold run and
-// rebound to the caller's graph and system objects.
+// hitSystems are the machines the byte-identity contract is pinned on:
+// homogeneous cliques of several sizes, a two-speed related machine and a
+// latency-bandwidth network.
+func hitSystems() []struct {
+	name string
+	sys  machine.System
+} {
+	related := machine.NewSystem(8)
+	related.Speeds = machine.CanonicalSpeeds([]float64{2, 2, 2, 2, 1, 1, 1, 1})
+	lb := machine.NewSystem(8)
+	lb.Comm = machine.LatencyBandwidth{Latency: 0.5, Bandwidth: 2}
+	return []struct {
+		name string
+		sys  machine.System
+	}{
+		{"P=2", machine.NewSystem(2)},
+		{"P=8", machine.NewSystem(8)},
+		{"P=32", machine.NewSystem(32)},
+		{"related", related},
+		{"latency-bandwidth", lb},
+	}
+}
+
+// TestCacheHitByteIdentity: on every machine of hitSystems a hit is
+// byte-identical to the cold run and rebound to the caller's graph and
+// system objects.
 func TestCacheHitByteIdentity(t *testing.T) {
 	g := memoGraph(6, 50)
+	for _, tc := range hitSystems() {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := tc.sys
+			cold := coldSchedule(t, g, sys)
+			want := scheduleBytes(t, cold)
+			c := NewCache(4)
+			key := KeyOf(g, sys, "flb", 1)
+			c.Put(g, sys, key, cold)
+			s, ok := c.Get(g, sys, key, false)
+			if !ok {
+				t.Fatal("exact resubmission missed")
+			}
+			if scheduleBytes(t, s) != want {
+				t.Errorf("cache hit differs from the cold run")
+			}
+			// Look the problem up via a renamed clone: same fingerprint,
+			// distinct object — the served schedule must be bound to the
+			// clone, so its bytes equal a cold run on the clone (the name
+			// rides along).
+			r := g.Clone()
+			r.Name = "resubmission"
+			r.Freeze()
+			s, ok = c.Get(r, sys, KeyOf(r, sys, "flb", 1), false)
+			if !ok {
+				t.Fatal("renamed resubmission missed")
+			}
+			if scheduleBytes(t, s) != scheduleBytes(t, coldSchedule(t, r, sys)) {
+				t.Errorf("rebound cache hit differs from a cold run on the resubmission")
+			}
+			if s.Graph() != r {
+				t.Errorf("hit is not rebound to the submitted graph")
+			}
+			if err := s.Validate(); err != nil {
+				t.Errorf("hit does not validate: %v", err)
+			}
+		})
+	}
+}
+
+// TestCacheMismatchedEntryMisses: an entry whose task count or P differs
+// from the looked-up problem (a Full collision, forced here by reusing a
+// key) answers a miss instead of a schedule for the wrong problem.
+func TestCacheMismatchedEntryMisses(t *testing.T) {
+	g := memoGraph(12, 30)
 	sys := machine.NewSystem(4)
-	cold := coldSchedule(t, g, sys)
-	c := NewCache(4)
 	key := KeyOf(g, sys, "flb", 1)
+	c := NewCache(4)
+	c.EnableNearHit(true)
+	c.Put(g, sys, key, coldSchedule(t, g, sys))
+	other := memoGraph(13, 31)
+	if s, ok := c.Get(other, sys, key, true); ok || s != nil {
+		t.Errorf("entry of %d tasks answered a %d-task lookup", g.NumTasks(), other.NumTasks())
+	}
+	if s, ok := c.Get(g, machine.NewSystem(5), key, true); ok || s != nil {
+		t.Errorf("P=4 entry answered a P=5 lookup")
+	}
+	if st := c.Stats(); st.Gets != 2 || st.Hits != 0 || st.NearHits != 0 {
+		t.Errorf("stats = %+v, want 2 gets and no hits", st)
+	}
+	if _, ok := c.Get(g, sys, key, false); !ok {
+		t.Errorf("the matching problem missed")
+	}
+}
+
+// TestCacheBytesPerEntry: with the near tier off an entry costs one
+// 16-byte step per task, at most 20 B per task at V≈2000; with the tier
+// on it adds the weight snapshot.
+func TestCacheBytesPerEntry(t *testing.T) {
+	g := luGraph(t)
+	sys := machine.NewSystem(8)
+	cold := coldSchedule(t, g, sys)
+	key := KeyOf(g, sys, "flb", 1)
+	c := NewCache(4)
 	c.Put(g, sys, key, cold)
-	s, ok := c.Get(g, sys, key, false)
-	if !ok {
-		t.Fatal("exact resubmission missed")
+	n := int64(g.NumTasks())
+	if got := c.Bytes(); got != n*schedule.StepBytes || got > 20*n {
+		t.Errorf("near tier off: entry holds %d B for %d tasks, want %d (at most 20 B per task)", got, n, n*schedule.StepBytes)
 	}
-	if scheduleBytes(t, s) != scheduleBytes(t, cold) {
-		t.Errorf("cache hit differs from the cold run")
+	if ev := c.StatsEvent(); ev.Bytes != c.Bytes() {
+		t.Errorf("StatsEvent().Bytes = %d, Bytes() = %d", ev.Bytes, c.Bytes())
 	}
-	// Look the problem up via a renamed clone: same fingerprint, distinct
-	// object — the served schedule must be bound to the clone, so its
-	// bytes equal a cold run on the clone (the name rides along).
-	r := g.Clone()
-	r.Name = "resubmission"
-	r.Freeze()
-	s, ok = c.Get(r, sys, KeyOf(r, sys, "flb", 1), false)
-	if !ok {
-		t.Fatal("renamed resubmission missed")
+	near := NewCache(4)
+	near.EnableNearHit(true)
+	near.Put(g, sys, key, cold)
+	want := n*schedule.StepBytes + 8*(n+int64(g.NumEdges()))
+	if got := near.Bytes(); got != want {
+		t.Errorf("near tier on: entry holds %d B, want %d", got, want)
 	}
-	if scheduleBytes(t, s) != scheduleBytes(t, coldSchedule(t, r, sys)) {
-		t.Errorf("rebound cache hit differs from a cold run on the resubmission")
+}
+
+// luGraph is the V≈2000 LU instance of the entry-size checks and the
+// benchmarks.
+func luGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	g, err := workload.Instance("lu", 2000, 1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Graph() != r {
-		t.Errorf("hit is not rebound to the submitted graph")
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("hit does not validate: %v", err)
-	}
+	g.Freeze()
+	return g
 }
 
 // nearHitProblem caches g's schedule and returns a variant whose trailing
@@ -306,5 +400,129 @@ func TestCacheConcurrentSharedUse(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestCacheNearTierSnapshotRule: Put takes the weight snapshot the near
+// tier repairs from only while the tier is on. An entry inserted with the
+// tier off is not repaired after the tier is switched on; one inserted
+// with it on repairs to the same bytes as ReplanSuffix on the cold base.
+func TestCacheNearTierSnapshotRule(t *testing.T) {
+	sys := machine.NewSystem(4)
+	g := memoGraph(14, 60)
+	off := NewCache(4)
+	drifted := nearHitProblem(t, off, g, sys)
+	off.EnableNearHit(true)
+	key := KeyOf(drifted, sys, "flb", 1)
+	if _, ok := off.Get(drifted, sys, key, true); ok {
+		t.Errorf("an entry inserted with the tier off was repaired")
+	}
+	if b := off.Bytes(); b != int64(g.NumTasks())*schedule.StepBytes {
+		t.Errorf("tier off: cache holds %d B, want the record's %d B only", b, g.NumTasks()*schedule.StepBytes)
+	}
+
+	on := NewCache(4)
+	on.EnableNearHit(true)
+	nearHitProblem(t, on, g, sys)
+	s, ok := on.Get(drifted, sys, key, true)
+	if !ok {
+		t.Fatal("an entry inserted with the tier on was not repaired")
+	}
+	var rec schedule.Record
+	rec.Fill(coldSchedule(t, g, sys))
+	n := g.NumTasks()
+	want, err := core.NewRescheduler().ReplanSuffix(drifted, sys, &rec, n-n/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scheduleBytes(t, s) != scheduleBytes(t, want) {
+		t.Errorf("near hit differs from ReplanSuffix on the cold base")
+	}
+}
+
+// TestCachePutSteadyStateAllocs: once every entry's arenas are warm, a
+// Put that evicts allocates nothing, with the near tier off or on.
+func TestCachePutSteadyStateAllocs(t *testing.T) {
+	sys := machine.NewSystem(4)
+	base := memoGraph(15, 50)
+	const problems = 6
+	gs := make([]*graph.Graph, problems)
+	ss := make([]*schedule.Schedule, problems)
+	keys := make([]Key, problems)
+	for i := range gs {
+		g := base.Clone()
+		g.SetComp(0, base.Comp(0)*float64(i+2))
+		g.Freeze()
+		gs[i], ss[i], keys[i] = g, coldSchedule(t, g, sys), KeyOf(g, sys, "flb", 1)
+	}
+	for _, near := range []bool{false, true} {
+		c := NewCache(problems / 2) // every Put evicts
+		c.EnableNearHit(near)
+		i := 0
+		put := func() {
+			c.Put(gs[i%problems], sys, keys[i%problems], ss[i%problems])
+			i++
+		}
+		for j := 0; j < 2*problems; j++ {
+			put()
+		}
+		before := c.Stats().Evictions
+		if avg := testing.AllocsPerRun(100, put); avg != 0 {
+			t.Errorf("near=%v: warm Put allocates %.1f/run, want 0", near, avg)
+		}
+		if c.Stats().Evictions == before {
+			t.Errorf("near=%v: the measured Puts evicted nothing", near)
+		}
+		// Every entry holds one problem's record (and snapshot), however
+		// often its arena was refilled.
+		n, e := int64(base.NumTasks()), int64(base.NumEdges())
+		want := int64(c.Cap()) * n * schedule.StepBytes
+		if near {
+			want += int64(c.Cap()) * 8 * (n + e)
+		}
+		if got := c.Bytes(); got != want {
+			t.Errorf("near=%v: %d entries hold %d B, want %d", near, c.Cap(), got, want)
+		}
+	}
+}
+
+// warmCache returns a 64-entry cache filled with LU V≈2000 at P=8 under
+// 64 distinct keys (seeds), plus a 65th key and the cold schedule.
+func warmCache(b *testing.B) (*Cache, *graph.Graph, machine.System, []Key, *schedule.Schedule) {
+	g := luGraph(b)
+	sys := machine.NewSystem(8)
+	s := coldSchedule(b, g, sys)
+	keys := make([]Key, 65)
+	for i := range keys {
+		keys[i] = KeyOf(g, sys, "flb", int64(i))
+	}
+	c := NewCache(64)
+	for _, k := range keys[:64] {
+		c.Put(g, sys, k, s)
+	}
+	return c, g, sys, keys, s
+}
+
+// BenchmarkCachePut: one insert into a warm, full 64-entry cache (LU
+// V≈2000, P=8); cycling 65 keys through it makes every Put evict.
+func BenchmarkCachePut(b *testing.B) {
+	c, g, sys, keys, s := warmCache(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(g, sys, keys[(64+i)%len(keys)], s)
+	}
+}
+
+// BenchmarkCacheHit: one exact hit on a warm 64-entry cache (LU V≈2000,
+// P=8): the record replayed into a fresh schedule.
+func BenchmarkCacheHit(b *testing.B) {
+	c, g, sys, keys, _ := warmCache(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(g, sys, keys[i%64], false); !ok {
+			b.Fatal("warm lookup missed")
+		}
 	}
 }

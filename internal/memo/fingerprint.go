@@ -3,7 +3,8 @@
 // cache of finished schedules (cache.go). Real scheduling traffic is
 // repetitive — the same workload shapes at the same CCRs and machine
 // sizes arrive over and over — so a repeat submission can be answered
-// with an O(V+E) hash and a deep copy instead of a full FLB run.
+// with an O(V+E) hash and a replay of the cached placements instead of a
+// full FLB run.
 //
 // # Canonical fingerprints
 //
@@ -14,8 +15,8 @@
 // the seed. Two submissions with equal Full fingerprints are the same
 // scheduling problem, so the cached schedule is byte-identical to what a
 // cold run would produce (graph and task *names* are deliberately not
-// hashed: they do not influence placement, and cache hits are rebound to
-// the caller's graph, so renamed resubmissions still hit).
+// hashed: they do not influence placement, and cache hits are replayed
+// on the caller's graph, so renamed resubmissions still hit).
 //
 // The Shape fingerprint covers the same stream minus the weights. A
 // submission whose Shape matches a cached entry but whose Full does not

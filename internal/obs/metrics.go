@@ -227,10 +227,10 @@ func (m *Metrics) String() string {
 			m.Crashes, m.Repairs, m.RepairSize.String(), m.Retries, m.RetryDelay)
 	}
 	if m.Cache.Gets > 0 || m.Cache.Puts > 0 {
-		fmt.Fprintf(&b, "cache       %d gets (%d hits, %d near, %d misses), %d puts, %d evictions, %d/%d entries\n",
+		fmt.Fprintf(&b, "cache       %d gets (%d hits, %d near, %d misses), %d puts, %d evictions, %d/%d entries, %d bytes\n",
 			m.Cache.Gets, m.Cache.Hits, m.Cache.NearHits,
 			m.Cache.Gets-m.Cache.Hits-m.Cache.NearHits,
-			m.Cache.Puts, m.Cache.Evictions, m.Cache.Len, m.Cache.Cap)
+			m.Cache.Puts, m.Cache.Evictions, m.Cache.Len, m.Cache.Cap, m.Cache.Bytes)
 	}
 	return b.String()
 }

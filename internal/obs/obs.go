@@ -202,6 +202,9 @@ type CacheStats struct {
 	Evictions int64
 	// Len and Cap are the cache's current and maximum entry counts.
 	Len, Cap int
+	// Bytes is the memory the entries' placement records and weight
+	// snapshots hold.
+	Bytes int64
 }
 
 // Sink receives the event stream of one or more observed runs. All

@@ -98,6 +98,14 @@ func (s *Schedule) Reset(g *graph.Graph, sys machine.System) {
 	s.dups = nil
 }
 
+// Release drops s's graph and system, keeping its backing arrays for the
+// next Reset, so an idle arena's schedule pins nothing of its last
+// problem. s must not be read until that Reset.
+func (s *Schedule) Release() {
+	s.g = nil
+	s.sys = machine.System{}
+}
+
 func growProc(v []machine.Proc, n int) []machine.Proc {
 	if cap(v) >= n {
 		return v[:n]
@@ -133,13 +141,20 @@ func (s *Schedule) Place(t int, p machine.Proc, st float64) {
 	}
 	s.proc[t] = p
 	s.start[t] = st
-	s.finish[t] = st + s.sys.ExecTime(s.g.Comp(t), p)
+	s.finish[t] = s.finishOn(t, p, st)
 	s.order[p] = append(s.order[p], t)
 	if s.finish[t] > s.prt[p] {
 		s.prt[p] = s.finish[t]
 	}
 	s.seq = append(s.seq, t)
 	s.placed++
+}
+
+// finishOn returns FT(t) for t started at st on p: st + w(t)/speed(p).
+// Place and Record.Replay both compute finish times here, so a replay's
+// are the recorded run's bit for bit.
+func (s *Schedule) finishOn(t int, p machine.Proc, st float64) float64 {
+	return st + s.sys.ExecTime(s.g.Comp(t), p)
 }
 
 // PlacementOrder returns the tasks in the order they were placed. The
@@ -240,13 +255,11 @@ func (s *Schedule) EFT(t int, p machine.Proc) float64 {
 }
 
 // CloneFor returns a deep copy of s rebound to g and sys: the copy's
-// placements, times and orders are s's, but its graph and system are the
-// caller's. The schedule cache uses it to hand a hit back bound to the
-// submitted graph object (which may differ from the cached run's graph in
-// identity and naming, never in structure or weights — the fingerprint
-// guarantees that), so downstream consumers (export, execution) read the
-// caller's names and communication model. g must have the same task count
-// as the cloned schedule and sys the same processor count.
+// placements, times and orders are s's, copied rather than recomputed,
+// but its graph and system are the caller's, so downstream consumers
+// (export, execution) read the caller's names, speeds and communication
+// model. g must have the same task count as the cloned schedule and sys
+// the same processor count.
 func (s *Schedule) CloneFor(g *graph.Graph, sys machine.System) *Schedule {
 	if g.NumTasks() != len(s.proc) {
 		panic(fmt.Sprintf("schedule: CloneFor graph has %d tasks, schedule has %d", g.NumTasks(), len(s.proc)))
@@ -262,11 +275,10 @@ func (s *Schedule) CloneFor(g *graph.Graph, sys machine.System) *Schedule {
 
 // Clone returns a deep copy of the schedule (sharing the immutable graph).
 // The copy's slices come from a few consolidated backing arrays rather
-// than one allocation per field and per processor — clones are the unit
-// the schedule cache hands out on every hit, so clone cost is warm-hit
-// cost. The per-processor order slices are capacity-clipped, so appending
-// to one (a further Place on the clone) reallocates it instead of
-// clobbering its neighbor.
+// than one allocation per field and per processor — the batch engine
+// clones every arena schedule it hands out. The per-processor order
+// slices are capacity-clipped, so appending to one (a further Place on
+// the clone) reallocates it instead of clobbering its neighbor.
 func (s *Schedule) Clone() *Schedule {
 	n, np := len(s.proc), len(s.order)
 	fbuf := make([]float64, 2*n+np)

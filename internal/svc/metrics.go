@@ -115,8 +115,9 @@ func (st *SchedStats) add(m *obs.Metrics) {
 	st.Retries += m.Retries
 }
 
-// CacheStats mirrors the memo cache counters (satellite of ROADMAP
-// item 2: the service exposes gets/hits/evictions on /metrics).
+// CacheStats mirrors the memo cache counters, entry count and memory
+// (the bytes its placement records and weight snapshots hold), all read
+// in one critical section, so Len always equals Puts minus Evictions.
 type CacheStats struct {
 	Gets      int64 `json:"gets"`
 	Hits      int64 `json:"hits"`
@@ -126,6 +127,7 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 	Len       int   `json:"len"`
 	Cap       int   `json:"cap"`
+	Bytes     int64 `json:"bytes"`
 }
 
 // MetricsSnapshot assembles the /metrics document. Also the "flush"
@@ -162,16 +164,17 @@ func (s *Server) MetricsSnapshot() Snapshot {
 	snap.Sched = s.sched
 	s.mu.Unlock()
 	if s.cache != nil {
-		st := s.cache.Stats()
+		st := s.cache.StatsEvent()
 		snap.Cache = &CacheStats{
 			Gets:      st.Gets,
 			Hits:      st.Hits,
 			NearHits:  st.NearHits,
-			Misses:    st.Misses(),
+			Misses:    st.Gets - st.Hits - st.NearHits,
 			Puts:      st.Puts,
 			Evictions: st.Evictions,
-			Len:       s.cache.Len(),
-			Cap:       s.cache.Cap(),
+			Len:       st.Len,
+			Cap:       st.Cap,
+			Bytes:     st.Bytes,
 		}
 	}
 	return snap

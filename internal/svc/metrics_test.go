@@ -1,13 +1,17 @@
 package svc
 
 import (
+	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"flb"
 	"flb/internal/fault"
 	"flb/internal/graph"
 	"flb/internal/obs"
+	"flb/internal/schedule"
 	"flb/internal/sim"
 	"flb/internal/workload"
 )
@@ -121,6 +125,7 @@ func TestMetricsMatchOracle(t *testing.T) {
 	wantCache := CacheStats{
 		Gets: cs.Gets, Hits: cs.Hits, NearHits: cs.NearHits, Misses: cs.Misses(),
 		Puts: cs.Puts, Evictions: cs.Evictions, Len: cache.Len(), Cap: cache.Cap(),
+		Bytes: cache.Bytes(),
 	}
 	if snap.Cache == nil || *snap.Cache != wantCache {
 		t.Errorf("cache counters:\n got %+v\nwant %+v", snap.Cache, wantCache)
@@ -128,5 +133,68 @@ func TestMetricsMatchOracle(t *testing.T) {
 	n := int64(len(reqs))
 	if snap.Service.LatencyMs.Count != n || snap.Service.QueueWaitMs.Count != n {
 		t.Errorf("latency/queue-wait counts = %d/%d, want %d", snap.Service.LatencyMs.Count, snap.Service.QueueWaitMs.Count, n)
+	}
+}
+
+// TestMetricsCacheSnapshotConsistent: /metrics reads the cache in one
+// critical section, so every snapshot polled while submissions insert
+// and evict concurrently has len == puts − evictions, and bytes equal to
+// the records held: every problem here has the same task count, so each
+// entry holds exactly one 16-byte step per task.
+func TestMetricsCacheSnapshotConsistent(t *testing.T) {
+	const v = 40
+	e := newTestServer(t, Config{Workers: 2, QueueCap: 64, CacheCap: 4})
+	body := textBody("chain", v)
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				// Seven processor counts, seven problems: more than the
+				// four entries, so inserts evict.
+				query := fmt.Sprintf("?procs=%d", 2+(w*12+i)%7)
+				resp, err := e.ts.Client().Post(e.ts.URL+"/schedule"+query, "text/plain", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("submit %s: status %d", query, resp.StatusCode)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	check := func(c *CacheStats) {
+		t.Helper()
+		if c == nil {
+			t.Fatal("/metrics has no cache section")
+		}
+		if int64(c.Len) != c.Puts-c.Evictions {
+			t.Errorf("snapshot len %d, puts %d, evictions %d: len != puts - evictions", c.Len, c.Puts, c.Evictions)
+		}
+		if want := int64(c.Len) * v * schedule.StepBytes; c.Bytes != want {
+			t.Errorf("snapshot bytes %d for %d entries of %d tasks, want %d", c.Bytes, c.Len, v, want)
+		}
+	}
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		check(e.metrics(t).Cache)
+	}
+	final := e.metrics(t).Cache
+	check(final)
+	if final.Puts < 7 || final.Evictions == 0 {
+		t.Errorf("final cache %+v: want every problem inserted and some evicted", final)
 	}
 }

@@ -68,7 +68,8 @@ type Config struct {
 	// load beyond workers + queue is shed with 429.
 	QueueCap int
 	// CacheCap sizes the schedule memo cache (entries); 0 disables
-	// memoization, < 0 selects the default 512.
+	// memoization, < 0 selects the default 512. An entry holds ≈16 bytes
+	// per task of its problem (a placement record, not the graph).
 	CacheCap int
 	// MaxBodyBytes caps a submission body; <= 0 selects 8 MiB.
 	MaxBodyBytes int64
@@ -265,7 +266,9 @@ func (s *Server) Draining() bool { return s.state.Load() != stateAccepting }
 
 // worker is one service worker: it owns an FLB arena and the metrics
 // sink that counts each job's scheduling decisions and execution, and
-// serves admitted jobs until the queue closes.
+// serves admitted jobs until the queue closes. Once a job is answered
+// and cached the arena releases its graph, so an idle worker pins
+// nothing of its last job.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	sc := core.NewScheduler(core.FLB{})
@@ -273,6 +276,7 @@ func (s *Server) worker() {
 	sc.Observe(m)
 	for j := range s.queue {
 		s.runJob(sc, m, j)
+		sc.Release()
 		s.inflight.Add(-1)
 	}
 }
@@ -309,8 +313,10 @@ func (s *Server) runJob(sc *core.Scheduler, m *obs.Metrics, j *job) {
 	svcTime := time.Since(started)
 	resp.QueueMs = durMs(queueWait)
 	resp.RunMs = durMs(svcTime)
-	j.finish(jobResult{status: 200, resp: resp})
+	// Count the job before answering it, so a client holding its answer
+	// finds the job in /metrics.
 	s.observe(m, queueWait, svcTime)
+	j.finish(jobResult{status: 200, resp: resp})
 }
 
 // schedule runs the job's scheduling (and optional execution) on the
@@ -333,7 +339,7 @@ func (s *Server) schedule(sc *core.Scheduler, m *obs.Metrics, j *job) (*schedule
 				return nil, 500, err.Error()
 			}
 			if s.cache != nil {
-				// Put deep-copies the arena schedule into the cache.
+				// Put copies the arena schedule's placements into the cache.
 				s.cache.Put(j.g, j.sys, key, cold)
 			}
 			// Arena-owned: consumed fully before this worker's next job.
