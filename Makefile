@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTextOracle$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSTGOracle$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDecimal$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzFormatFloat$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzHeap$$' -fuzztime 10s ./internal/pq
 	$(GO) test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime 10s ./internal/pq
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/memo
@@ -64,10 +65,12 @@ hetero:
 # Facade benchmarks, plus the two that walk CSR edge windows hardest
 # (the memo fingerprint and FLB placement on LU at V≈2000), the memo
 # cache's insert and exact hit on a warm 64-entry cache, the fig2-place
-# matrix on one reused Scheduler, the indexed heap and tree, and one cold
-# flbd request through the HTTP handler.
+# matrix on one reused Scheduler, the indexed heap and tree, the text
+# codec's reader and writer on every family at V≈2000, and one cold flbd
+# request through the HTTP handler.
 bench:
 	$(GO) test -run '^$$' -bench 'Fig2|Scaling|Execute' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ReadText|WriteText)$$' -benchmem ./internal/graph
 	$(GO) test -run '^$$' -bench '^Benchmark(KeyOf|CachePut|CacheHit)$$' -benchmem ./internal/memo
 	$(GO) test -run '^$$' -bench '^Benchmark(FLB_LU2000_P32|Fig2Matrix)$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^Benchmark(PushPop|TreeSet)$$' -benchmem ./internal/pq

@@ -99,6 +99,7 @@ func (e ETF) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, e
 		ready = append(ready, rt.Complete(t)...)
 	}
 	st.ready = ready // keep the grown capacity for the next run
+	st.rt.Release()
 	statePool.Put(st)
 	return s, nil
 }

@@ -51,6 +51,13 @@ func (st *fcpState) reset(g *graph.Graph, p int) {
 	st.rt.Reset(g)
 }
 
+// release returns the arena to the pool, dropping the tracker's graph
+// first so a pooled arena keeps no graph alive.
+func (st *fcpState) release() {
+	st.rt.Release()
+	statePool.Put(st)
+}
+
 // Schedule implements the Algorithm interface.
 func (f FCP) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, error) {
 	if err := algo.CheckInputs(g, sys); err != nil {
@@ -61,7 +68,7 @@ func (f FCP) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, e
 	bl := g.BottomLevels()
 
 	st := statePool.Get().(*fcpState)
-	defer statePool.Put(st)
+	defer st.release()
 	st.reset(g, sys.P)
 	readyQ := &st.readyQ // keyed by -BL: most critical first
 	rt := &st.rt

@@ -40,6 +40,13 @@ func (st *mcpState) reset(g *graph.Graph) {
 	st.rt.Reset(g)
 }
 
+// release returns the arena to the pool, dropping the tracker's graph
+// first so a pooled arena keeps no graph alive.
+func (st *mcpState) release() {
+	st.rt.Release()
+	statePool.Put(st)
+}
+
 // TieBreak selects how MCP orders tasks with equal ALAP time.
 type TieBreak int
 
@@ -92,7 +99,7 @@ func (m MCP) Schedule(g *graph.Graph, sys machine.System) (*schedule.Schedule, e
 	// the readiness filter usually never bites; it keeps zero-cost corner
 	// cases correct.
 	st := statePool.Get().(*mcpState)
-	defer statePool.Put(st)
+	defer st.release()
 	st.reset(g)
 	readyQ := &st.readyQ
 	rt := &st.rt

@@ -174,6 +174,7 @@ type flbState struct {
 	noBL     bool      // ablation: ignore bottom levels in tie-breaking
 	preferEP bool      // ablation: prefer the EP candidate on start ties
 	sink     obs.Sink  // nil = observability disabled (the fast path)
+	counts   Counts    // the run's decision counters, kept with or without a sink
 
 	// Per ready task, fixed once the task becomes ready:
 	lmt []float64      // last message arrival time
@@ -240,6 +241,7 @@ func (st *flbState) reset(f FLB, g *graph.Graph, sys machine.System, s *schedule
 	st.bl = g.BottomLevels()
 	st.noBL, st.preferEP = f.NoBLTieBreak, f.PreferEPOnTie
 	st.sink = f.Sink
+	st.counts = Counts{}
 	st.lmt = growFloat(st.lmt, n)
 	st.emt = growFloat(st.emt, n)
 	clear(st.lmt)
@@ -543,6 +545,10 @@ func (st *flbState) scheduleTask(iter int) (task int, proc machine.Proc, est flo
 		return 0, 0, 0, false
 	}
 
+	st.counts.Steps++
+	if chooseEP {
+		st.counts.EPWins++
+	}
 	if st.sink != nil {
 		st.sink.SchedStep(obs.SchedStep{
 			Iter:       iter,
@@ -591,6 +597,7 @@ func (st *flbState) updateTaskLists(p machine.Proc) {
 		st.lmtEP[p].Remove(t)
 		st.emtEP[p].Remove(t)
 		st.nonEP.Push(t, pq.Key{Primary: st.lmt[t], Secondary: st.blKey(t)})
+		st.counts.Demotions++
 		if st.sink != nil {
 			st.sink.TaskDemoted(obs.TaskDemoted{Task: t, Proc: int(p), LMT: st.lmt[t]})
 		}

@@ -234,3 +234,72 @@ func TestFLBDecisionStreamGolden(t *testing.T) {
 		t.Errorf("decision stream hash = %#016x, want %#016x", got, decisionStreamGolden)
 	}
 }
+
+// TestCountsMatchMetrics pins Scheduler.Counts to what an obs.Metrics
+// sink counts from the same runs' events, over every workload family at
+// CCR 0.2 and 5 and the Fig. 1 graph, on 2, 8 and 32 processors and a
+// related machine, with the sink attached and without it. Reading the
+// counters keeps the observer-off steady state at zero allocations.
+func TestCountsMatchMetrics(t *testing.T) {
+	related := machine.NewSystem(8)
+	related.Speeds = machine.CanonicalSpeeds([]float64{2, 2, 1.5, 1, 1, 1, 0.5, 0.5})
+	systems := []machine.System{machine.NewSystem(2), machine.NewSystem(8), machine.NewSystem(32), related}
+	graphs := []*graph.Graph{workload.PaperExample()}
+	for i, fam := range workload.Families() {
+		for _, ccr := range []float64{0.2, 5} {
+			g, err := workload.Instance(fam.Name, 300, ccr, nil, int64(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, g)
+		}
+	}
+	observed, plain := NewScheduler(FLB{}), NewScheduler(FLB{})
+	m := obs.NewMetrics()
+	observed.Observe(m)
+	var total Counts
+	for _, g := range graphs {
+		for _, sys := range systems {
+			m.Reset()
+			if _, err := observed.Schedule(g, sys); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := plain.Schedule(g, sys); err != nil {
+				t.Fatal(err)
+			}
+			want := Counts{Steps: m.Steps, EPWins: m.EPWins, Demotions: m.Demotions}
+			if got := observed.Counts(); got != want {
+				t.Errorf("%s on %d procs: Counts with a sink = %+v, the sink counted %+v", g.Name, sys.P, got, want)
+			}
+			if got := plain.Counts(); got != want {
+				t.Errorf("%s on %d procs: Counts without a sink = %+v, the sink counted %+v", g.Name, sys.P, got, want)
+			}
+			if m.NonEPWins != want.Steps-want.EPWins {
+				t.Errorf("%s on %d procs: %d non-EP wins, want Steps − EPWins = %d", g.Name, sys.P, m.NonEPWins, want.Steps-want.EPWins)
+			}
+			total.Steps += want.Steps
+			total.EPWins += want.EPWins
+			total.Demotions += want.Demotions
+		}
+	}
+	if total.EPWins == 0 || total.Demotions == 0 || total.EPWins == total.Steps {
+		t.Fatalf("the corpus does not exercise every counter: %+v", total)
+	}
+
+	g, sys := graphs[1], machine.NewSystem(8)
+	g.Freeze()
+	var c Counts
+	run := func() {
+		if _, err := plain.Schedule(g, sys); err != nil {
+			t.Fatal(err)
+		}
+		c = plain.Counts()
+	}
+	run()
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Errorf("Schedule and Counts without a sink allocate %.1f/run, want 0", n)
+	}
+	if c.Steps != g.NumTasks() {
+		t.Errorf("Counts.Steps = %d, want one per task (%d)", c.Steps, g.NumTasks())
+	}
+}

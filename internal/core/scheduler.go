@@ -130,3 +130,16 @@ func (st *flbState) grow(v, p int) {
 // Observe sets the sink receiving the decision trace of subsequent
 // Schedule calls; nil disables observability (the zero-allocation path).
 func (sc *Scheduler) Observe(s obs.Sink) { sc.cfg.Sink = s }
+
+// Counts are the decision counters of one FLB run: its placements, the
+// ones the EP-type candidate won, and the EP tasks UpdateTaskLists
+// demoted to the non-EP list. An obs.Metrics sink counts the same three
+// from the run's events as Steps, EPWins and Demotions (NonEPWins is
+// Steps − EPWins); the arena keeps them as plain integers, so a caller
+// that needs no more than these attaches no sink.
+type Counts struct {
+	Steps, EPWins, Demotions int
+}
+
+// Counts returns the counters of the last Schedule call.
+func (sc *Scheduler) Counts() Counts { return sc.st.counts }

@@ -3,8 +3,10 @@ package graph_test
 import (
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"flb/internal/graph"
 	"flb/internal/workload"
@@ -79,26 +81,73 @@ func TestCanonicalCoverage(t *testing.T) {
 	}
 }
 
-// TestReadTextAllocs pins that reading a line allocates nothing: a
-// payload four times larger may cost only the extra growth steps of the
-// task, edge and line-index slices. Past a few hundred elements append
-// grows a slice by about 1.25x a step, so 4x is about six steps each; a
-// per-line allocation would add thousands.
-func TestReadTextAllocs(t *testing.T) {
-	allocs := func(v int) float64 {
-		text := codecGraph(t, "lu", v).TextString()
-		return testing.AllocsPerRun(5, func() {
-			if _, err := graph.ParseText(text); err != nil {
-				t.Fatal(err)
+// TestFormatFloatCoverage pins that the writer kernel covers WriteText:
+// every weight of a workload graph, in any family, under either sampler
+// and at CCR 0.1, 1 and 10, is formatted by the kernel, not by strconv.
+func TestFormatFloatCoverage(t *testing.T) {
+	for _, fam := range workload.Families() {
+		for _, s := range []workload.Sampler{workload.Uniform02{}, workload.Exponential{}} {
+			for _, ccr := range []float64{0.1, 1, 10} {
+				g, err := workload.Instance(fam.Name, 300, ccr, s, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if miss := graph.KernelFallbacks(g); len(miss) > 0 {
+					t.Errorf("%s (%s): %d weights left the kernel, first %v", g.Name, s.Name(), len(miss), miss[0])
+				}
 			}
-		})
+		}
 	}
-	small, large := allocs(codecV), allocs(4*codecV)
-	if small >= 100 {
-		t.Errorf("ParseText at V≈%d: %.0f allocs, want < 100", codecV, small)
+}
+
+// readCost returns the allocations and bytes of one ParseText of text,
+// the least over several reads: a read that finds the reader pool empty
+// (the race detector empties it at random) pays for its scratch once.
+func readCost(t *testing.T, text string) (allocs, bytes uint64) {
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	for i := 0; i < 8; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := graph.ParseText(text); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	if large-small > 24 {
-		t.Errorf("ParseText allocs grow from %.0f at V≈%d to %.0f at V≈%d; per-line allocations are back", small, codecV, large, 4*codecV)
+	return allocs, bytes
+}
+
+// TestReadTextAllocs pins what a read allocates with a warm reader pool:
+// the graph's tasks and edges at their exact sizes, its CSR adjacency and
+// topological order, and next to nothing else. A per-line allocation,
+// the growth copies of the task and edge arrays or a fresh scanner
+// buffer would each break it, at V≈2000 and at four times that.
+func TestReadTextAllocs(t *testing.T) {
+	for _, v := range []int{codecV, 4 * codecV} {
+		g := codecGraph(t, "lu", v)
+		allocs, bytes := readCost(t, g.TextString())
+		n, e := uint64(g.NumTasks()), uint64(g.NumEdges())
+		kept := n*uint64(unsafe.Sizeof(graph.Task{})) + e*uint64(unsafe.Sizeof(graph.Edge{})) +
+			2*4*(n+1) + 2*4*e + n*uint64(unsafe.Sizeof(int(0)))
+		if allocs > 14 {
+			t.Errorf("ParseText at V=%d: %d allocs, want at most 14", n, allocs)
+		}
+		if bytes > kept+kept/10 {
+			t.Errorf("ParseText at V=%d: %d bytes allocated, want at most 1.1 × the %d the graph keeps", n, bytes, kept)
+		}
+	}
+}
+
+// TestWriteTextAllocs pins that WriteText allocates one buffer, whatever
+// the graph's size, and TextString the buffer and the string.
+func TestWriteTextAllocs(t *testing.T) {
+	g := codecGraph(t, "lu", codecV)
+	if n := testing.AllocsPerRun(5, func() { _ = g.WriteText(io.Discard) }); n != 1 {
+		t.Errorf("WriteText: %.0f allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { _ = g.TextString() }); n != 2 {
+		t.Errorf("TextString: %.0f allocs, want 2", n)
 	}
 }
 

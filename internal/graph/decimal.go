@@ -1,34 +1,49 @@
 package graph
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // digits appends the decimal digits at b[i:] to man and returns it with
-// the index of the first byte that is not a digit. It takes eight digits
-// at a time while eight bytes are left (SWAR: one 64-bit word holds
-// eight digits). man wraps past 19 digits; callers count the digits and
-// discard it then.
+// the index of the first byte that is not a digit. It reads eight bytes
+// at a time while eight are left (SWAR: one 64-bit word holds eight
+// digits), and a run ends at the lowest byte of a word that is not a
+// digit: the bytes after it are never read as digits, so a caller whose
+// line is followed by a newline may pass the buffer beyond the line. man
+// wraps past 19 digits; callers count the digits and discard it then.
 func digits(b []byte, i int, man uint64) (uint64, int) {
 	for ; i+8 <= len(b); i += 8 {
 		x := binary.LittleEndian.Uint64(b[i:])
 		// A byte below '0' sets its top bit when 0x30 is taken away, and
 		// one above '9' when 0x46 is added. Digits neither borrow nor
 		// carry, so the lowest byte that is not a digit is computed
-		// alone and flagged: the test is exact.
-		if ((x+0x4646464646464646)|(x-0x3030303030303030))&0x8080808080808080 != 0 {
-			break
+		// alone and flagged: the test is exact there, whatever it says
+		// of the bytes above.
+		if m := ((x + 0x4646464646464646) | (x - 0x3030303030303030)) & 0x8080808080808080; m != 0 {
+			// The n digits below it, moved to the top of the word over
+			// zero bytes, are an eight-digit number with leading zeros.
+			if n := bits.TrailingZeros64(m) / 8; n > 0 {
+				man = man*pow10u[n] + digitValue((x-0x3030303030303030)<<(64-8*n))
+				i += n
+			}
+			return man, i
 		}
-		// The first digit is the lowest byte. Combine neighbouring
-		// digits into two-digit bytes, then pairs of those into the
-		// eight-digit value, two multiplies each.
-		x -= 0x3030303030303030
-		x = x*10 + x>>8
-		x = (x&0x000000FF000000FF*(100+1000000<<32) + x>>16&0x000000FF000000FF*(1+10000<<32)) >> 32
-		man = man*1e8 + x
+		man = man*1e8 + digitValue(x-0x3030303030303030)
 	}
 	for ; i < len(b) && b[i]-'0' < 10; i++ {
 		man = man*10 + uint64(b[i]-'0')
 	}
 	return man, i
+}
+
+// digitValue returns the eight-digit number whose digits, as values 0 to
+// 9, are the bytes of x, the first digit in the lowest byte.
+func digitValue(x uint64) uint64 {
+	// Combine neighbouring digits into two-digit bytes, then pairs of
+	// those into the eight-digit value, two multiplies each.
+	x = x*10 + x>>8
+	return (x&0x000000FF000000FF*(100+1000000<<32) + x>>16&0x000000FF000000FF*(1+10000<<32)) >> 32
 }
 
 // parseDecimal converts the number at the start of b, of the form

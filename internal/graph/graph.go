@@ -233,18 +233,20 @@ func (g *Graph) ensureAdj() {
 	}
 	g.succAdj = make([]uint32, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
 	g.predAdj = make([]uint32, e) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-	// next cursors: local copies of the offsets keep the fill a single
-	// linear pass.
-	nextS := make([]uint32, v) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-	nextP := make([]uint32, v) //flb:alloc-ok amortized lazy CSR build, runs once per mutation epoch, not per query
-	copy(nextS, g.succOff[:v])
-	copy(nextP, g.predOff[:v])
-	for i, ed := range g.edges {
-		g.succAdj[nextS[ed.From]] = uint32(i)
-		nextS[ed.From]++
-		g.predAdj[nextP[ed.To]] = uint32(i)
-		nextP[ed.To]++
+	// Fill each window from its end, the edges in decreasing index order,
+	// with off[t+1] as t's cursor: the windows come out in increasing
+	// order, and each cursor stops at its window's start, which is where
+	// off[t] belongs. One shift puts the offsets back.
+	for i := e - 1; i >= 0; i-- {
+		ed := &g.edges[i]
+		g.succOff[ed.From+1]--
+		g.succAdj[g.succOff[ed.From+1]] = uint32(i)
+		g.predOff[ed.To+1]--
+		g.predAdj[g.predOff[ed.To+1]] = uint32(i)
 	}
+	copy(g.succOff, g.succOff[1:])
+	copy(g.predOff, g.predOff[1:])
+	g.succOff[v], g.predOff[v] = uint32(e), uint32(e)
 	g.dirty = false
 }
 

@@ -8,9 +8,11 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -42,27 +44,66 @@ func checkWeight(w float64) error {
 // WriteText serializes the graph to w in the text format. Tasks without an
 // explicit name are emitted with the placeholder "_", so reading the output
 // back leaves their names lazily synthesized rather than materializing a
-// string per task. Each line is formatted into one reused buffer with the
-// strconv appenders, which print exactly what fmt's %d and %g print.
+// string per task. Lines are formatted into one buffer, by appendFloat for
+// weights, which prints exactly what fmt's %g prints, and handed to w
+// whenever textChunk bytes are ready.
 func (g *Graph) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	// bufio.Writer errors are sticky; Flush reports the first one.
-	line := append(make([]byte, 0, 64), "graph "...)
-	line = append(append(line, sanitizeName(g.Name)...), '\n')
-	bw.Write(line)
-	for _, t := range g.tasks {
-		line = strconv.AppendInt(append(line[:0], "task "...), int64(t.ID), 10)
-		line = strconv.AppendFloat(append(line, ' '), t.Comp, 'g', -1, 64)
-		line = append(append(append(line, ' '), sanitizeName(t.Name)...), '\n')
-		bw.Write(line)
+	buf := make([]byte, 0, textChunk)
+	for i, n := 0, g.textLines(); i < n; {
+		buf, i = g.appendText(buf[:0], i, textChunk-512)
+		// As with bufio.Writer, a short write without an error is one.
+		if m, err := w.Write(buf); err != nil || m < len(buf) {
+			if err == nil {
+				err = io.ErrShortWrite
+			}
+			return err
+		}
 	}
-	for _, e := range g.edges {
-		line = strconv.AppendInt(append(line[:0], "edge "...), int64(e.From), 10)
-		line = strconv.AppendInt(append(line, ' '), int64(e.To), 10)
-		line = append(strconv.AppendFloat(append(line, ' '), e.Comm, 'g', -1, 64), '\n')
-		bw.Write(line)
+	return nil
+}
+
+// textChunk is the size of WriteText's buffer. It writes the buffer out
+// once a line ends in its last 512 bytes, so no line of a few hundred
+// bytes grows it.
+const textChunk = 32 << 10
+
+// textLines returns the number of lines of g's text form: the graph
+// line, one per task and one per edge.
+func (g *Graph) textLines() int { return 1 + len(g.tasks) + len(g.edges) }
+
+// appendText appends the lines of g's text form from line i on to buf
+// until buf holds at least limit bytes or the last line is written, and
+// returns buf and the index of the next line. Line 0 is the graph line,
+// lines 1 to V the tasks, the rest the edges.
+func (g *Graph) appendText(buf []byte, i, limit int) ([]byte, int) {
+	if i == 0 {
+		buf = append(append(append(buf, "graph "...), sanitizeName(g.Name)...), '\n')
+		i++
 	}
-	return bw.Flush()
+	for ; i <= len(g.tasks) && len(buf) < limit; i++ {
+		t := &g.tasks[i-1]
+		buf = appendFloat(append(appendUint(append(buf, "task "...), uint64(t.ID)), ' '), t.Comp)
+		buf = append(append(append(buf, ' '), sanitizeName(t.Name)...), '\n')
+	}
+	for ; i < g.textLines() && len(buf) < limit; i++ {
+		e := &g.edges[i-1-len(g.tasks)]
+		buf = append(appendUint(append(appendUint(append(buf, "edge "...), uint64(e.From)), ' '), uint64(e.To)), ' ')
+		buf = append(appendFloat(buf, e.Comm), '\n')
+	}
+	return buf, i
+}
+
+// textSize bounds the length of g's text form from above: every weight
+// takes at most 24 bytes, and sanitizeName at most triples a name (an
+// invalid byte becomes U+FFFD).
+func (g *Graph) textSize() int {
+	const task, edge = len("task  ") + 24 + len(" \n"), len("edge   ") + 24 + len("\n")
+	id := decimalLen(uint64(len(g.tasks)))
+	n := len("graph _\n") + 3*len(g.Name) + len(g.tasks)*(task+id+1) + len(g.edges)*(edge+2*id)
+	for i := range g.tasks {
+		n += 3 * len(g.tasks[i].Name)
+	}
+	return n
 }
 
 // sanitizeName makes s one field of the text format: every rune the
@@ -177,20 +218,46 @@ func ReadText(r io.Reader) (*Graph, error) {
 // with an error wrapping ErrTooLarge as soon as the input declares more
 // tasks or edges than lim allows, before their storage is built.
 func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
-	p := textReader{lim: lim.Normalized()}
+	p := readerPool.Get().(*textReader)
+	g, err := p.read(r, lim)
+	if p.reset(); p.poolable() {
+		readerPool.Put(p)
+	}
+	return g, err
+}
+
+// readerPool recycles textReaders, so a steady stream of reads allocates
+// only the graphs it returns. A reader whose task and edge storage grew
+// past maxPooledLines is dropped instead, which bounds what the pool
+// keeps to about a megabyte per reader.
+var readerPool = sync.Pool{New: func() any { return new(textReader) }}
+
+const maxPooledLines = 1 << 15
+
+// poolable reports whether the reader's storage is small enough to pool.
+func (p *textReader) poolable() bool {
+	return cap(p.tasks)+cap(p.edges) <= maxPooledLines
+}
+
+// read parses one input. Lines come from the scanner in blocks, every
+// whole line it holds at once; a line longer than the 4 MiB cap still
+// fails the scan with bufio.ErrTooLong, as it does line by line.
+func (p *textReader) read(r io.Reader, lim Limits) (*Graph, error) {
+	p.lim, p.lineNo = lim.Normalized(), 0
+	if p.buf == nil {
+		p.buf = make([]byte, 1<<16)
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(p.buf, 1<<22)
+	sc.Split(scanLineBlock)
 	for sc.Scan() {
-		p.lineNo++
-		if line := sc.Bytes(); !p.readCanonical(line) {
-			if err := p.readLine(line); err != nil {
-				if sc.Err() != nil {
-					// A failed read hands the line it cut short over as
-					// the last token: report the read, not that line.
-					break
-				}
-				return nil, p.firstError(p.graph(), err)
+		if err := p.readBlock(sc.Bytes()); err != nil {
+			if sc.Err() != nil {
+				// A failed read hands the line it cut short over with
+				// the last block: report the read, not that line.
+				break
 			}
+			return nil, p.firstError(p.graph(), err)
 		}
 	}
 	g := p.graph()
@@ -202,7 +269,66 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, p.firstError(g, err)
 	}
+	// The graph takes exact copies of the scratch it was read into, or
+	// the scratch itself when the reader will not be pooled.
+	if p.poolable() {
+		g.tasks, g.edges = slices.Clone(p.tasks), slices.Clone(p.edges)
+	} else {
+		p.tasks, p.edges = nil, nil
+	}
 	return g, nil
+}
+
+// reset empties the reader after a read, keeping its storage but not
+// the names its tasks held.
+func (p *textReader) reset() {
+	clear(p.tasks)
+	p.lim, p.lineNo, p.name = Limits{}, 0, ""
+	p.tasks, p.edges, p.runs = p.tasks[:0], p.edges[:0], p.runs[:0]
+}
+
+// scanLineBlock is the bufio.SplitFunc of ReadTextLimits: a token is
+// every whole line in the scanner's buffer, newlines included, and at the
+// end of input the unterminated last line. The scanner asks for more
+// input, and grows its buffer, exactly when bufio.ScanLines would.
+func scanLineBlock(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	// The forward search is the vectorized one, and it alone runs while
+	// a long line arrives in small reads.
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		i += 1 + bytes.LastIndexByte(data[i+1:], '\n')
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// readBlock reads the lines of a scanner token. readCanonicalAt takes a
+// canonical line and its line end in one pass; any other line ends, as
+// bufio.ScanLines ends it, at a newline, less one carriage return before
+// it, and goes to readLine.
+func (p *textReader) readBlock(block []byte) error {
+	for i := 0; i < len(block); {
+		p.lineNo++
+		if n := p.readCanonicalAt(block[i:]); n > 0 {
+			i += n
+			continue
+		}
+		end := bytes.IndexByte(block[i:], '\n')
+		next := i + end + 1
+		if end < 0 {
+			end, next = len(block)-i, len(block)
+		}
+		if end > 0 && block[i+end-1] == '\r' {
+			end--
+		}
+		if err := p.readLine(block[i : i+end]); err != nil {
+			return err
+		}
+		i = next
+	}
+	return nil
 }
 
 // textReader is the state of one ReadTextLimits call. It reads a line
@@ -210,8 +336,9 @@ func ReadTextLimits(r io.Reader, lim Limits) (*Graph, error) {
 // in one pass, and readLine splits every other line into fields that
 // alias the scanner's buffer and parses numbers from non-escaping string
 // conversions of them. Only names are copied out. Tasks and edges are
-// appended to the reader's own slices and handed to the graph once,
-// which spares the per-element invalidation of AddTask and AddEdge.
+// appended to the reader's own slices, which the reader keeps across
+// reads, and handed to the graph once, which spares the per-element
+// invalidation of AddTask and AddEdge.
 //
 // Duplicate edges are not looked up per edge. Validate finds them after
 // the last line through the CSR predecessor windows, and firstError
@@ -225,6 +352,8 @@ type textReader struct {
 	tasks  []Task
 	edges  []Edge
 	runs   []lineRun
+	//flb:keep the scanner's initial buffer, reused by every read
+	buf []byte
 }
 
 // lineRun records that the edges from index edge on, up to the next
@@ -238,7 +367,7 @@ func (p *textReader) edgeLine(i int) int {
 	return p.runs[k].line + i - p.runs[k].edge
 }
 
-// graph returns the graph read so far.
+// graph returns the graph read so far. Its arrays are the reader's.
 func (p *textReader) graph() *Graph {
 	g := New(p.name)
 	g.tasks, g.edges = p.tasks, p.edges
@@ -266,9 +395,9 @@ func (p *textReader) firstError(g *Graph, err error) error {
 	return err
 }
 
-// readCanonical decodes line if it is a task or edge line exactly as
-// WriteText writes it and it passes every check readLine would make, and
-// reports whether it did:
+// readCanonical decodes line, which holds no newline, if it is a task or
+// edge line exactly as WriteText writes it and it passes every check
+// readLine would make, and reports whether it did:
 //
 //	task <id> <comp> [name]
 //	edge <from> <to> <comm>
@@ -280,56 +409,89 @@ func (p *textReader) firstError(g *Graph, err error) error {
 // source of errors; what readCanonical accepts, readLine would have read
 // into the same task or edge.
 func (p *textReader) readCanonical(line []byte) bool {
-	if len(line) < 5 {
-		return false
-	}
-	switch string(line[:5]) {
-	case "task ":
-		id, i, ok := canonicalID(line, 5)
-		if !ok || id != len(p.tasks) || p.lim.checkTasks(id+1) != nil {
-			return false
-		}
-		comp, n, ok := parseDecimal(line[i:])
-		if i += n; !ok || math.Signbit(comp) {
-			return false
-		}
-		var name []byte
-		if i < len(line) {
-			if name = line[i+1:]; line[i] != ' ' || len(name) == 0 {
-				return false
-			}
-			for _, c := range name {
-				if c <= ' ' || c >= utf8.RuneSelf || c == '#' {
-					return false
-				}
-			}
-		}
-		p.addTask(comp, name)
-	case "edge ":
-		from, i, ok := canonicalID(line, 5)
-		if !ok {
-			return false
-		}
-		to, i, ok := canonicalID(line, i)
-		if !ok || from >= len(p.tasks) || to >= len(p.tasks) || p.lim.checkEdges(len(p.edges)+1) != nil {
-			return false
-		}
-		comm, n, ok := parseDecimal(line[i:])
-		if !ok || i+n != len(line) || math.Signbit(comm) {
-			return false
-		}
-		p.addEdge(from, to, comm)
-	default:
-		return false
-	}
-	return true
+	return p.readCanonicalAt(line) > 0
 }
 
-// canonicalID reads the id at line[i:], 1 to 18 decimal digits followed
-// by a space, and returns it with the index after the space.
-func canonicalID(line []byte, i int) (id, next int, ok bool) {
-	v, j := digits(line, i, 0)
-	if j == i || j-i > 18 || j == len(line) || line[j] != ' ' {
+// readCanonicalAt is readCanonical of the line at the start of b, and
+// returns the bytes the line spans with its end, or 0 when it declines.
+// The line ends as bufio.ScanLines ends it, at a newline, a carriage
+// return and a newline, or the end of b, a carriage return before it
+// dropped. Numbers are read from b: none runs past a line end.
+func (p *textReader) readCanonicalAt(b []byte) int {
+	if len(b) < 5 {
+		return 0
+	}
+	switch string(b[:5]) {
+	case "task ":
+		id, i, ok := canonicalID(b, 5)
+		if !ok || id != len(p.tasks) || p.lim.checkTasks(id+1) != nil {
+			return 0
+		}
+		comp, n, ok := parseDecimal(b[i:])
+		if i += n; !ok || math.Signbit(comp) {
+			return 0
+		}
+		var name []byte
+		if i < len(b) && b[i] == ' ' {
+			j := i + 1
+			for j < len(b) && b[j] > ' ' && b[j] < utf8.RuneSelf && b[j] != '#' {
+				j++
+			}
+			if name, i = b[i+1:j], j; len(name) == 0 {
+				return 0
+			}
+		}
+		n = lineEnd(b, i)
+		if n < 0 {
+			return 0
+		}
+		p.addTask(comp, name)
+		return i + n
+	case "edge ":
+		from, i, ok := canonicalID(b, 5)
+		if !ok {
+			return 0
+		}
+		to, i, ok := canonicalID(b, i)
+		if !ok || from >= len(p.tasks) || to >= len(p.tasks) || p.lim.checkEdges(len(p.edges)+1) != nil {
+			return 0
+		}
+		comm, n, ok := parseDecimal(b[i:])
+		if i += n; !ok || math.Signbit(comm) {
+			return 0
+		}
+		n = lineEnd(b, i)
+		if n < 0 {
+			return 0
+		}
+		p.addEdge(from, to, comm)
+		return i + n
+	}
+	return 0
+}
+
+// lineEnd returns the length of the line end at b[i:], or -1 if there is
+// none: zero at the end of b, one for a newline, two for a carriage
+// return and a newline, and one for a carriage return that ends b.
+func lineEnd(b []byte, i int) int {
+	switch {
+	case i == len(b):
+		return 0
+	case b[i] == '\n':
+		return 1
+	case b[i] == '\r' && i+1 == len(b):
+		return 1
+	case b[i] == '\r' && b[i+1] == '\n':
+		return 2
+	}
+	return -1
+}
+
+// canonicalID reads the id at b[i:], 1 to 18 decimal digits followed by
+// a space, and returns it with the index after the space.
+func canonicalID(b []byte, i int) (id, next int, ok bool) {
+	v, j := digits(b, i, 0)
+	if j == i || j-i > 18 || j == len(b) || b[j] != ' ' {
 		return 0, 0, false
 	}
 	return int(v), j + 1, true
@@ -472,12 +634,12 @@ func ParseText(s string) (*Graph, error) {
 	return ReadText(strings.NewReader(s))
 }
 
-// TextString serializes the graph to a string; see WriteText.
+// TextString serializes the graph to a string; see WriteText. The text
+// is formatted into one buffer sized once by textSize and copied into a
+// string of its exact length.
 func (g *Graph) TextString() string {
-	var b strings.Builder
-	// strings.Builder writes never fail.
-	_ = g.WriteText(&b)
-	return b.String()
+	buf, _ := g.appendText(make([]byte, 0, g.textSize()), 0, math.MaxInt)
+	return string(buf)
 }
 
 // WriteDOT emits the graph in Graphviz DOT format, with computation costs

@@ -2,9 +2,11 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -239,6 +241,87 @@ func TestReadFailureMidLine(t *testing.T) {
 		_, err := tc.read(io.MultiReader(strings.NewReader(tc.prefix), iotest.ErrReader(errCut)))
 		if !errors.Is(err, errCut) {
 			t.Errorf("%s: error %v, want one wrapping the read error", tc.name, err)
+		}
+	}
+}
+
+// TestReadTextBlocks checks the block reader against the line-at-a-time
+// oracle where blocks matter: inputs past the scanner's 64 KiB first
+// buffer, read in pieces of every size, LF and CRLF lines, lines off the
+// canonical path between canonical ones, no final newline, a line that
+// grows the buffer, one over the 4 MiB cap, and reads cut short at many
+// places.
+func TestReadTextBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var b strings.Builder
+	b.WriteString("graph blocks\n")
+	const n = 3000
+	for i := 0; i < n; i++ {
+		name := "_"
+		if i%5 == 0 {
+			name = "t" + strconv.Itoa(i)
+		}
+		fmt.Fprintf(&b, "task %d %s %s\n", i, strconv.FormatFloat(rng.Float64()*2, 'g', -1, 64), name)
+		if i%97 == 0 {
+			b.WriteString("# a comment\n\n")
+		}
+	}
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "edge %d %d %s\n", i-1, i, strconv.FormatFloat(rng.ExpFloat64(), 'g', -1, 64))
+		if i%89 == 0 {
+			fmt.Fprintf(&b, "edge\t%d %d  0.5\n", rng.Intn(i-1), i)
+		}
+	}
+	lf := b.String()
+	longName := strings.Replace(lf, "task 7 ", "task 7 1 "+strings.Repeat("n", 100<<10)+"\ntask 7 ", 1)
+	longName = strings.Replace(longName, "\ntask 7 ", "\n", 1) // task 7 now carries the long name
+	inputs := map[string]string{
+		"lf":               lf,
+		"crlf":             strings.ReplaceAll(lf, "\n", "\r\n"),
+		"no final newline": strings.TrimSuffix(lf, "\n"),
+		"a 100 KiB line":   longName,
+		"a 5 MiB line":     lf + "task 9999 1 " + strings.Repeat("x", 5<<20) + "\n",
+	}
+	readers := map[string]func(string) io.Reader{
+		"whole":    func(s string) io.Reader { return strings.NewReader(s) },
+		"halves":   func(s string) io.Reader { return iotest.HalfReader(strings.NewReader(s)) },
+		"data+EOF": func(s string) io.Reader { return iotest.DataErrReader(strings.NewReader(s)) },
+		"bytes": func(s string) io.Reader {
+			if len(s) > 1<<20 {
+				return strings.NewReader(s) // a byte at a time is too slow here
+			}
+			return iotest.OneByteReader(strings.NewReader(s))
+		},
+	}
+	compare := func(what string, mk func() io.Reader) {
+		t.Helper()
+		want, wantErr := oracleReadTextLimits(mk(), Limits{})
+		got, gotErr := ReadTextLimits(mk(), Limits{})
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Errorf("%s: got error %v, oracle %v", what, gotErr, wantErr)
+		case gotErr != nil:
+			if gotErr.Error() != wantErr.Error() {
+				t.Errorf("%s: got error %q, oracle %q", what, gotErr, wantErr)
+			}
+		case got.TextString() != want.TextString():
+			t.Errorf("%s: the graphs differ", what)
+		}
+	}
+	for in, src := range inputs {
+		for rd, mk := range readers {
+			compare(in+", "+rd, func() io.Reader { return mk(src) })
+		}
+	}
+	// The oracle reports the line a failed read cuts short; the reader
+	// reports the read (TestReadFailureMidLine), wherever the cut falls.
+	errCut := errors.New("read cut short")
+	for _, cut := range []int{1, 4095, 65535, 65536, 65537, 70001, len(lf) / 2, len(lf) - 1} {
+		for in, src := range map[string]string{"lf": lf, "crlf": inputs["crlf"]} {
+			_, err := ReadText(io.MultiReader(strings.NewReader(src[:cut]), iotest.ErrReader(errCut)))
+			if !errors.Is(err, errCut) {
+				t.Errorf("%s cut at %d: error %v, want one wrapping the read error", in, cut, err)
+			}
 		}
 	}
 }

@@ -15,34 +15,37 @@ var ErrCycle = errors.New("graph: cycle detected")
 // deterministic). It returns ErrCycle if the graph has a cycle. The result
 // is memoized until the graph structure changes; the returned slice must
 // not be modified.
-func (g *Graph) TopoOrder() ([]int, error) {
+func (g *Graph) TopoOrder() ([]int, error) { return g.topoOrder(nil) }
+
+// topoOrder is TopoOrder with indeg as its in-degree scratch when it has
+// V entries, whatever they hold.
+func (g *Graph) topoOrder(indeg []uint32) ([]int, error) {
 	g.ensureAdj()
 	if g.memoTopo != nil {
 		return g.memoTopo, nil
 	}
 	n := len(g.tasks)
-	indeg := make([]int, n)
-	for id := 0; id < n; id++ {
-		indeg[id] = len(g.preds(id))
+	if len(indeg) != n {
+		indeg = make([]uint32, n) // the CSR bounds every degree by MaxCSR
 	}
-	// A simple FIFO queue keeps the order deterministic; entry tasks are
-	// seeded in increasing ID order.
-	queue := make([]int, 0, n)
+	for id := 0; id < n; id++ {
+		indeg[id] = uint32(len(g.preds(id)))
+	}
+	// A FIFO queue keeps the order deterministic; entry tasks are seeded
+	// in increasing ID order. Tasks leave the queue in the order they
+	// enter it, so the order itself is the queue, read from head.
+	order := make([]int, 0, n)
 	for id := 0; id < n; id++ {
 		if indeg[id] == 0 {
-			queue = append(queue, id)
+			order = append(order, id)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, ei := range g.succs(id) {
+	for head := 0; head < len(order); head++ {
+		for _, ei := range g.succs(order[head]) {
 			to := g.edges[ei].To
 			indeg[to]--
 			if indeg[to] == 0 {
-				queue = append(queue, to)
+				order = append(order, to)
 			}
 		}
 	}
@@ -75,25 +78,30 @@ func (g *Graph) Validate() error {
 		}
 	}
 	// Duplicate detection over the CSR predecessor windows: two parallel
-	// edges u->v appear as two equal sources in v's window. A small scratch
-	// slice (grown to the maximum in-degree, not O(E) like the edge-set map
-	// this replaces) is sorted per task; at 10^7 edges the map version
-	// carried hundreds of megabytes of transient state.
+	// edges u->v appear as two equal sources in v's window. seen marks
+	// each source with the last task whose window held it, so one pass
+	// finds the first task with a repeated source, in V 32-bit words
+	// rather than the O(E) edge-set map this replaces (hundreds of
+	// megabytes at 10^7 edges). Only that task's window is sorted, to name
+	// its smallest repeated source.
 	g.ensureAdj() // safe: endpoints verified in range above
-	var scratch []int
+	seen := make([]uint32, n)
 	for id := 0; id < n; id++ {
-		pe := g.preds(id)
-		if len(pe) < 2 {
-			continue
-		}
-		scratch = scratch[:0]
-		for _, ei := range pe {
-			scratch = append(scratch, g.edges[ei].From)
-		}
-		sort.Ints(scratch)
-		for k := 1; k < len(scratch); k++ {
-			if scratch[k] == scratch[k-1] {
-				return fmt.Errorf("graph %q: duplicate edge %d->%d", g.Name, scratch[k], id)
+		for _, ei := range g.preds(id) {
+			u := g.edges[ei].From
+			if seen[u] != uint32(id)+1 {
+				seen[u] = uint32(id) + 1
+				continue
+			}
+			var from []int
+			for _, ei := range g.preds(id) {
+				from = append(from, g.edges[ei].From)
+			}
+			sort.Ints(from)
+			for k := 1; ; k++ {
+				if from[k] == from[k-1] {
+					return fmt.Errorf("graph %q: duplicate edge %d->%d", g.Name, from[k], id)
+				}
 			}
 		}
 	}
@@ -102,7 +110,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph %q: task %d has non-finite or negative comp %v", g.Name, id, t.Comp)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
+	if _, err := g.topoOrder(seen); err != nil {
 		return fmt.Errorf("graph %q: %w", g.Name, err)
 	}
 	g.validated.Store(true)

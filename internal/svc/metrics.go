@@ -30,10 +30,16 @@ func (r *reservoir) add(v float64) {
 	r.count++
 }
 
+// snapshot copies the reservoir, under Server.mu.
+func (r *reservoir) snapshot() *reservoir {
+	return &reservoir{buf: append([]float64(nil), r.buf...), count: r.count}
+}
+
 // quantiles summarizes the reservoir's current window; Count is the
-// lifetime count of observations, not the window's.
+// lifetime count of observations, not the window's. It sorts the window
+// in place, so it runs on a snapshot, after Server.mu is released.
 func (r *reservoir) quantiles() Quantiles {
-	q := stats.QuantilesOf(append([]float64(nil), r.buf...))
+	q := stats.QuantilesOf(r.buf)
 	q.Count = r.count
 	return q
 }
@@ -158,11 +164,15 @@ func (s *Server) MetricsSnapshot() Snapshot {
 			MaxEdges:      s.cfg.limits().Normalized().MaxEdges,
 		},
 	}
+	// Copy under the lock, sort after it: every worker takes s.mu before
+	// answering its job, and sorting 8192 samples takes about a
+	// millisecond, which a scrape must not add to a waiting job.
 	s.mu.Lock()
-	snap.Service.LatencyMs = s.latMs.quantiles()
-	snap.Service.QueueWaitMs = s.queueMs.quantiles()
+	lat, queue := s.latMs.snapshot(), s.queueMs.snapshot()
 	snap.Sched = s.sched
 	s.mu.Unlock()
+	snap.Service.LatencyMs = lat.quantiles()
+	snap.Service.QueueWaitMs = queue.quantiles()
 	if s.cache != nil {
 		st := s.cache.StatsEvent()
 		snap.Cache = &CacheStats{

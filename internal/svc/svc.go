@@ -266,14 +266,15 @@ func (s *Server) Draining() bool { return s.state.Load() != stateAccepting }
 
 // worker is one service worker: it owns an FLB arena and the metrics
 // sink that counts each job's scheduling decisions and execution, and
-// serves admitted jobs until the queue closes. Once a job is answered
-// and cached the arena releases its graph, so an idle worker pins
-// nothing of its last job.
+// serves admitted jobs until the queue closes. The sink observes only
+// executions; a cold FLB run's decisions come from the arena's own
+// counters (countSchedule), which cost no per-event sink call. Once a
+// job is answered and cached the arena releases its graph, so an idle
+// worker pins nothing of its last job.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	sc := core.NewScheduler(core.FLB{})
 	m := obs.NewMetrics()
-	sc.Observe(m)
 	for j := range s.queue {
 		s.runJob(sc, m, j)
 		sc.Release()
@@ -338,6 +339,7 @@ func (s *Server) schedule(sc *core.Scheduler, m *obs.Metrics, j *job) (*schedule
 			if err != nil {
 				return nil, 500, err.Error()
 			}
+			countSchedule(m, sc.Counts())
 			if s.cache != nil {
 				// Put copies the arena schedule's placements into the cache.
 				s.cache.Put(j.g, j.sys, key, cold)
@@ -384,6 +386,16 @@ func (s *Server) schedule(sc *core.Scheduler, m *obs.Metrics, j *job) (*schedule
 		}
 	}
 	return resp, 0, ""
+}
+
+// countSchedule folds one cold FLB run into m: the run and its decision
+// counters, as an obs.Metrics attached to the arena would count them.
+func countSchedule(m *obs.Metrics, c core.Counts) {
+	m.Runs[obs.KindSchedule]++
+	m.Steps += c.Steps
+	m.EPWins += c.EPWins
+	m.NonEPWins += c.Steps - c.EPWins
+	m.Demotions += c.Demotions
 }
 
 // observe folds one finished job's counters and timings into the
